@@ -1,47 +1,9 @@
 #include "common.hh"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 namespace rememberr {
 namespace bench {
-
-namespace {
-
-/**
- * Persist the cached build's stage timings and key flow counters so
- * successive PRs have a machine-readable perf trajectory to diff
- * (best effort, like writeSvg).
- */
-void
-writeBenchProfile(const MetricsRegistry &metrics)
-{
-    JsonValue root = JsonValue::makeObject();
-    root["schema"] = JsonValue("rememberr-bench-pipeline-v1");
-    JsonValue stages = JsonValue::makeObject();
-    for (const char *stage : {"acquire", "parse", "lint", "dedup",
-                              "classify", "assemble"}) {
-        const Gauge *gauge = metrics.findGauge(
-            std::string("pipeline.stage_us.") + stage);
-        stages[stage] = JsonValue(
-            static_cast<double>(gauge ? gauge->value() : 0));
-    }
-    root["stage_us"] = std::move(stages);
-    const Gauge *total = metrics.findGauge("pipeline.total_us");
-    root["total_us"] = JsonValue(
-        static_cast<double>(total ? total->value() : 0));
-    root["metrics"] = metrics.toJson();
-
-    std::ofstream out("BENCH_pipeline.json");
-    out << root.dumpPretty() << "\n";
-    if (out) {
-        std::printf(
-            "[pipeline profile written to BENCH_pipeline.json]\n");
-    }
-}
-
-} // namespace
 
 const PipelineResult &
 pipeline()
@@ -49,13 +11,9 @@ pipeline()
     static const PipelineResult result = [] {
         setLogQuiet(true);
         PipelineOptions options;
-        MetricsRegistry metrics;
-        TraceRecorder trace;
-        options.metrics = &metrics;
-        options.trace = &trace;
-        PipelineResult built = runPipeline(options);
-        writeBenchProfile(metrics);
-        return built;
+        options.metrics = nullptr;
+        options.trace = nullptr;
+        return runPipeline(options);
     }();
     return result;
 }
@@ -64,20 +22,6 @@ const Database &
 db()
 {
     return pipeline().groundTruth;
-}
-
-void
-writeSvg(const std::string &name, const std::string &svg)
-{
-    std::error_code ec;
-    std::filesystem::create_directories("figures", ec);
-    if (ec)
-        return;
-    std::ofstream out("figures/" + name + ".svg");
-    out << svg;
-    if (out)
-        std::printf("[figure written to figures/%s.svg]\n",
-                    name.c_str());
 }
 
 int

@@ -1,19 +1,17 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction benches.
+ * Shared infrastructure for the bench binaries.
  *
- * Each bench binary times the pipeline stage(s) behind one table or
- * figure of the paper and then prints the reproduced rows/series,
+ * Each bench binary times the pipeline stages or kernels behind one
+ * part of the evaluation and then prints the reproduced rows,
  * annotated with the paper's published values where the paper states
- * them. SVG versions of the figures are written to ./figures/.
+ * them.
  */
 
 #ifndef REMEMBERR_BENCH_COMMON_HH
 #define REMEMBERR_BENCH_COMMON_HH
 
 #include <benchmark/benchmark.h>
-
-#include <string>
 
 #include "core/rememberr.hh"
 
@@ -26,12 +24,9 @@ const PipelineResult &pipeline();
 /** Shorthand for the ground-truth database of the cached pipeline. */
 const Database &db();
 
-/** Write an SVG figure under ./figures/ (best effort). */
-void writeSvg(const std::string &name, const std::string &svg);
-
 /**
- * Bench main: run the registered benchmarks, then print the figure
- * reproduction.
+ * Bench main: run the registered benchmarks, then print the
+ * reproduced rows.
  */
 int runBenchMain(int argc, char **argv, void (*print_figure)());
 

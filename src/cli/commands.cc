@@ -13,16 +13,11 @@
 
 #include "util/parallel.hh"
 
-#include "analysis/correlation.hh"
-#include "analysis/frequency.hh"
-#include "analysis/heredity.hh"
 #include "analysis/msr.hh"
 #include "analysis/stats.hh"
-#include "analysis/timeline.hh"
 #include "classify/engine.hh"
 #include "classify/highlight.hh"
 #include "core/pipeline.hh"
-#include "corpus/calibration.hh"
 #include "db/query.hh"
 #include "dedup/dedup.hh"
 #include "diag/check.hh"
@@ -32,7 +27,7 @@
 #include "obs/exporter.hh"
 #include "obs/log.hh"
 #include "obs/pool_metrics.hh"
-#include "report/svg.hh"
+#include "report/figures.hh"
 #include "report/table.hh"
 #include "serve/server.hh"
 #include "snap/format.hh"
@@ -850,6 +845,11 @@ cmdSeeds(const ArgList &args, std::ostream &out, std::ostream &err)
     return 0;
 }
 
+/**
+ * figures --out DIR: write every SVG of the figure registry. A
+ * --snapshot database comes without the classification run, so the
+ * entries that read it are skipped and named.
+ */
 int
 cmdFigures(const ArgList &args, std::ostream &out,
            std::ostream &err)
@@ -866,49 +866,36 @@ cmdFigures(const ArgList &args, std::ostream &out,
         return 1;
     }
     std::optional<Database> storage;
-    const Database *dbPtr = nullptr;
-    if (int rc = resolveDatabase(args, storage, dbPtr, err))
+    const Database *db = nullptr;
+    if (int rc = resolveDatabase(args, storage, db, err))
         return rc;
-    const Database &db = *dbPtr;
+    // Without --snapshot, resolveDatabase built the cached pipeline.
+    const PipelineResult *pipeline =
+        storage ? nullptr : &buildPipeline(args);
 
-    auto write = [&](const std::string &name,
-                     const std::string &svg) {
-        std::ofstream file(*dir + "/" + name + ".svg");
-        file << svg;
-        out << "wrote " << *dir << "/" << name << ".svg\n";
-    };
-
-    auto timelines = disclosureTimelines(db);
-    std::vector<CumulativeSeries> intel(
-        timelines.begin(),
-        timelines.begin() + firstAmdDocIndex);
-    std::vector<CumulativeSeries> amd(
-        timelines.begin() + firstAmdDocIndex, timelines.end());
-    write("fig2_intel",
-          svgLineChart(intel, {.title = "Figure 2: Intel"}));
-    write("fig2_amd", svgLineChart(amd, {.title = "Figure 2: AMD"}));
-
-    HeredityMatrix heredity = heredityMatrix(db, Vendor::Intel);
-    write("fig3_heredity",
-          svgHeatmap(heredity.labels, heredity.labels,
-                     heredity.counts,
-                     {.title = "Figure 3: heredity"}));
-
-    std::vector<Bar> triggers;
-    for (const CategoryFrequency &freq :
-         categoryFrequencies(db, Axis::Trigger, 12)) {
-        triggers.push_back(
-            Bar{freq.code, static_cast<double>(freq.total()),
-                std::to_string(freq.total())});
+    std::vector<std::string> skipped;
+    for (const FigureEntry &entry : figureRegistry()) {
+        if (entry.svgNames.empty())
+            continue;
+        if (entry.needsPipeline && !pipeline) {
+            skipped.insert(skipped.end(), entry.svgNames.begin(),
+                           entry.svgNames.end());
+            continue;
+        }
+        FigureOutput figure = entry.render(*db, pipeline);
+        for (std::size_t i = 0; i < figure.svgs.size(); ++i) {
+            std::string path =
+                *dir + "/" + entry.svgNames[i] + ".svg";
+            if (int rc =
+                    writeTextFile(path, figure.svgs[i], "figure", err))
+                return rc;
+            out << "wrote " << path << "\n";
+        }
     }
-    write("fig10_triggers",
-          svgBarChart(triggers, {.title = "Figure 10: triggers"}));
-
-    TriggerCorrelation correlation = triggerCorrelation(db);
-    write("fig12_correlation",
-          svgHeatmap(correlation.codes, correlation.codes,
-                     correlation.counts,
-                     {.title = "Figure 12: correlation"}));
+    if (!skipped.empty()) {
+        out << "skipped " << strings::join(skipped, ", ")
+            << ": a snapshot holds no classification run\n";
+    }
     return 0;
 }
 

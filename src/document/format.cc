@@ -300,7 +300,7 @@ parseDocument(const std::string &text)
                 document.design.vendor = Vendor::Amd;
             } else {
                 return makeError("unknown vendor '" + value + "'",
-                                 reader.lineNumber());
+                                 reader.fieldLine());
             }
             sawVendor = true;
         } else if (key == "Design") {
@@ -309,7 +309,7 @@ parseDocument(const std::string &text)
             document.design.reference = value;
         } else if (key == "Generation") {
             auto generation = parseIntField(
-                "Generation", value, reader.lineNumber(), 0, 9999);
+                "Generation", value, reader.fieldLine(), 0, 9999);
             if (!generation)
                 return generation.error();
             document.design.generation =
@@ -322,13 +322,13 @@ parseDocument(const std::string &text)
             else
                 document.design.variant = DesignVariant::Unified;
         } else if (key == "Release") {
-            auto date = parseDateField(value, reader.lineNumber());
+            auto date = parseDateField(value, reader.fieldLine());
             if (!date)
                 return date.error();
             document.design.releaseDate = date.value();
         } else {
             return makeError("unknown header field '" + key + "'",
-                             reader.lineNumber());
+                             reader.fieldLine());
         }
     }
     if (!sawVendor)
@@ -352,7 +352,7 @@ parseDocument(const std::string &text)
             any = true;
             if (key == "Revision") {
                 auto number = parseIntField("Revision", value,
-                                            reader.lineNumber(), 0,
+                                            reader.fieldLine(), 0,
                                             1000000);
                 if (!number)
                     return number.error();
@@ -361,7 +361,7 @@ parseDocument(const std::string &text)
                 revision.sourceLine = reader.fieldLine();
             } else if (key == "Date") {
                 auto date = parseDateField(value,
-                                           reader.lineNumber());
+                                           reader.fieldLine());
                 if (!date)
                     return date.error();
                 revision.date = date.value();
@@ -376,7 +376,7 @@ parseDocument(const std::string &text)
             } else {
                 return makeError("unknown revision field '" + key +
                                      "'",
-                                 reader.lineNumber());
+                                 reader.fieldLine());
             }
         }
         if (!any)
@@ -432,7 +432,7 @@ parseDocument(const std::string &text)
                             strings::trim(trimmed.substr(0, eq));
                         auto number = parseIntField(
                             "MSRs", trimmed.substr(eq + 1),
-                            reader.lineNumber(), 0, 0xFFFFFFFFL,
+                            reader.fieldLine(), 0, 0xFFFFFFFFL,
                             16);
                         if (!number)
                             return number.error();
@@ -444,7 +444,7 @@ parseDocument(const std::string &text)
             } else {
                 return makeError("unknown erratum field '" + key +
                                      "'",
-                                 reader.lineNumber());
+                                 reader.fieldLine());
             }
         }
         if (!any)
@@ -483,7 +483,7 @@ parseDocument(const std::string &text)
             if (key != "IDs") {
                 return makeError("unknown hidden-errata field '" +
                                      key + "'",
-                                 reader.lineNumber());
+                                 reader.fieldLine());
             }
             for (auto &id : strings::split(value, ',')) {
                 std::string trimmed = strings::trim(id);

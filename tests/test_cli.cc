@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include <unistd.h>
@@ -383,15 +384,50 @@ TEST_F(CliFileTest, GenerateWritesDocumentsAndExports)
     EXPECT_TRUE(parseDocument(buffer.str()));
 }
 
+/** The SVG files of a directory, by name without ".svg". */
+std::map<std::string, std::string>
+svgFiles(const std::filesystem::path &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &file : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(file.path());
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[file.path().stem().string()] = bytes.str();
+    }
+    return files;
+}
+
 TEST_F(CliFileTest, FiguresWritesSvgs)
 {
+    const auto committed =
+        svgFiles(REMEMBERR_SOURCE_DIR "/figures");
+    ASSERT_EQ(committed.size(), 19u);
+
     std::string outDir = (dir_ / "figures").string();
     CliResult result = run({"figures", "--out", outDir});
     EXPECT_EQ(result.code, 0);
-    EXPECT_TRUE(std::filesystem::exists(outDir +
-                                        "/fig3_heredity.svg"));
-    EXPECT_TRUE(std::filesystem::exists(outDir +
-                                        "/fig12_correlation.svg"));
+    auto written = svgFiles(outDir);
+    EXPECT_EQ(written.size(), committed.size());
+    for (const auto &[name, bytes] : written)
+        EXPECT_TRUE(committed.count(name) && committed.at(name) == bytes)
+            << name;
+
+    // A snapshot holds the database but no classification run:
+    // every figure except 8 and 9, still byte for byte.
+    std::string snapPath = (dir_ / "db.snap").string();
+    ASSERT_EQ(run({"snapshot", "--out", snapPath}).code, 0);
+    std::string snapDir = (dir_ / "snapshot_figures").string();
+    result = run({"figures", "--snapshot", snapPath, "--out", snapDir});
+    EXPECT_EQ(result.code, 0);
+    EXPECT_NE(result.out.find("skipped fig8_steps, fig9_agreement"),
+              std::string::npos)
+        << result.out;
+    written = svgFiles(snapDir);
+    EXPECT_EQ(written.size(), 17u);
+    for (const auto &[name, bytes] : written)
+        EXPECT_TRUE(committed.count(name) && committed.at(name) == bytes)
+            << name;
 }
 
 TEST(Cli, GenerateRequiresOut)

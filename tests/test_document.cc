@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "corpus/generator.hh"
 #include "document/format.hh"
 #include "util/logging.hh"
@@ -211,6 +213,55 @@ TEST(DocumentFormat, ParserRejectsMalformedMsrNumber)
     EXPECT_NE(parsed.error().message.find("MSRs"),
               std::string::npos)
         << parsed.error().toString();
+}
+
+/**
+ * Replace the first line of `text` that starts with `from` by `to`;
+ * return that line's 1-based number, or 0 when no line matches.
+ */
+int
+replaceLine(std::string &text, const std::string &from,
+            const std::string &to)
+{
+    std::size_t at = text.find("\n" + from);
+    if (at == std::string::npos)
+        return 0;
+    text.replace(at + 1, from.size(), to);
+    return 2 + static_cast<int>(
+                   std::count(text.begin(), text.begin() + at, '\n'));
+}
+
+TEST(DocumentFormat, ParseErrorsNameTheLineOfTheField)
+{
+    ErrataDocument doc = sampleDoc();
+    doc.hiddenErrata = {"ADL900"};
+    const std::string rendered = renderDocument(doc);
+    // The Description wraps onto continuation lines, so an error
+    // reported after reading its value would land lines further on.
+    ASSERT_NE(rendered.find("\nDescription: "), std::string::npos);
+    ASSERT_NE(rendered.find("\n  "), std::string::npos);
+
+    const std::pair<std::string, std::string> corruptions[] = {
+        {"Vendor: Intel", "Vendor: Cyrix"},
+        {"Design:", "Designer:"},
+        {"Generation: 12", "Generation: 12x"},
+        {"Release: 2021-11-04", "Release: 2021-13-04"},
+        {"Revision: 1", "Revision: 1q"},
+        {"Date: 2021-11-04", "Date: 2021-13-04"},
+        {"Note:", "Notes:"},
+        {"Description:", "Descriptio:"},
+        {"MSRs: MC4_STATUS=0x9A3", "MSRs: MC4_STATUS=0xZZZ"},
+        {"IDs:", "Ids:"},
+    };
+    for (const auto &[from, to] : corruptions) {
+        std::string text = rendered;
+        int line = replaceLine(text, from, to);
+        ASSERT_GT(line, 0) << from;
+        auto parsed = parseDocument(text);
+        ASSERT_FALSE(parsed) << to;
+        EXPECT_EQ(parsed.error().line, line)
+            << parsed.error().toString();
+    }
 }
 
 TEST(DocumentFormat, NegativeGenerationIsOutOfRange)

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
+#include "snap/format.hh"
+#include "snap/writer.hh"
 #include "util/logging.hh"
 
 namespace rememberr {
@@ -58,6 +60,29 @@ TEST(Pipeline, DeterministicAcrossRuns)
     // Same JSON dump byte-for-byte.
     EXPECT_EQ(a.groundTruth.toJson().dump(),
               b.groundTruth.toJson().dump());
+}
+
+TEST(Pipeline, DefaultSeedOutputsArePinned)
+{
+    // The default seed's pipeline outputs, fingerprinted as the
+    // perfbench build workload does: the snapshot of the database
+    // that dedup and classification assemble, and FNV-1a over the
+    // dedup cluster keys (8 little-endian bytes each). The truth
+    // snapshot hash beside them is pinned in test_snapshot.
+    setLogQuiet(true);
+    PipelineResult result = runPipeline(PipelineOptions{});
+    EXPECT_EQ(snap::hashHex(snap::snapshotContentHash(
+                  snap::writeSnapshot(result.database))),
+              "891673173b46c08d");
+
+    std::string keys;
+    for (const auto &perDoc : result.dedup.keyByDoc)
+        for (std::uint32_t key : perDoc)
+            snap::storeU64(keys, key);
+    EXPECT_EQ(snap::hashHex(snap::fnv1a64(
+                  reinterpret_cast<const unsigned char *>(keys.data()),
+                  keys.size())),
+              "1d7d32c467094f80");
 }
 
 TEST(Pipeline, SeedChangesTextButNotStructure)

@@ -1,13 +1,21 @@
 /**
  * @file
- * Unit tests for the report writers (tables, charts, SVG).
+ * Unit tests for the report writers (tables, charts, SVG) and the
+ * figure registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+
 #include "report/chart.hh"
+#include "report/figures.hh"
 #include "report/svg.hh"
 #include "report/table.hh"
+#include "util/logging.hh"
 #include "util/strings.hh"
 
 namespace rememberr {
@@ -170,6 +178,43 @@ TEST(Svg, EscapesXmlInLabels)
     std::string svg = svgBarChart(bars);
     EXPECT_EQ(svg.find("a<b>"), std::string::npos);
     EXPECT_NE(svg.find("a&lt;b&gt;&amp;c"), std::string::npos);
+}
+
+// ---- Figure registry ----------------------------------------------------
+
+const std::string figuresDir = REMEMBERR_SOURCE_DIR "/figures";
+
+TEST(FigureRegistry, RendersTheCommittedFiguresByteForByte)
+{
+    setLogQuiet(true);
+    PipelineResult result = runPipeline(PipelineOptions{});
+
+    std::set<std::string> names;
+    std::vector<std::string> moved;
+    for (const FigureEntry &entry : figureRegistry()) {
+        FigureOutput output =
+            entry.render(result.groundTruth, &result);
+        ASSERT_EQ(output.svgs.size(), entry.svgNames.size())
+            << entry.name;
+        for (std::size_t i = 0; i < output.svgs.size(); ++i) {
+            const std::string &name = entry.svgNames[i];
+            names.insert(name);
+            std::ifstream in(figuresDir + "/" + name + ".svg");
+            std::ostringstream committed;
+            committed << in.rdbuf();
+            if (committed.str() != output.svgs[i])
+                moved.push_back(name);
+        }
+    }
+    EXPECT_EQ(moved, std::vector<std::string>{})
+        << "rendered figures differ from figures/";
+
+    std::set<std::string> files;
+    for (const auto &file :
+         std::filesystem::directory_iterator(figuresDir))
+        files.insert(file.path().stem().string());
+    EXPECT_EQ(names, files);
+    EXPECT_EQ(names.size(), 19u);
 }
 
 } // namespace

@@ -24,9 +24,13 @@
 #      execution over cache miss, hit and pipelined paths), validate
 #      the BENCH_serve.json schema with jsonl_check --single, then
 #      SIGTERM the daemon and require a clean (graceful-drain) exit;
-#   8. clang-tidy via the check_tidy target (skips when clang-tidy
+#   8. perfbench correctness gates: every workload for 2 s, which
+#      fails on the pinned output hashes, parallel bit-identity,
+#      serve responses byte-compared with in-process execution and
+#      the cache hit-rate regimes (timings are printed, not judged);
+#   9. clang-tidy via the check_tidy target (skips when clang-tidy
 #      is not installed);
-#   9. a ThreadSanitizer build running the concurrency-sensitive
+#  10. a ThreadSanitizer build running the concurrency-sensitive
 #      tests (parallel executor, observability including the sharded
 #      quantiles and the exporter thread, the literal prefilter
 #      differential, the regex tier differential — whose shared
@@ -35,7 +39,7 @@
 #      from dedup and foureyes shards, the serve stack, whose
 #      sharded LRU cache and worker pool are hammered by concurrent
 #      clients, and the automata decision procedures);
-#  10. an UndefinedBehaviorSanitizer build running the parser,
+#  11. an UndefinedBehaviorSanitizer build running the parser,
 #      regex (including the tier differential, the tokenizer
 #      byte-table differential and the automata procedures),
 #      diagnostics, snapshot, file-io and CLI tests, where the
@@ -139,6 +143,10 @@ done
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 grep -q "^served " "$snapdir/serve.log"
+
+step "perfbench correctness gates (no timing verdict)"
+(cd "$root" && python3 perfbench/run.py --workload all --seconds 2 \
+    --trace 0)
 
 step "clang-tidy"
 cmake --build "$root/$build" --target check_tidy
