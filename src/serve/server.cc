@@ -177,11 +177,13 @@ Server::acceptLoop()
             options_.metrics->counter("serve.connections").add();
         if (openConnections_.load(std::memory_order_relaxed) >=
             options_.maxConnections) {
-            sendAll(fd, busy.data(), busy.size());
-            ::close(fd);
+            // Count before replying: a client that has read the busy
+            // line must find it in stats().
             rejected_.fetch_add(1, std::memory_order_relaxed);
             if (options_.metrics)
                 options_.metrics->counter("serve.rejected").add();
+            sendAll(fd, busy.data(), busy.size());
+            ::close(fd);
             continue;
         }
         openConnections_.fetch_add(1, std::memory_order_relaxed);

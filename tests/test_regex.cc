@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "text/regex.hh"
 
 namespace rememberr {
@@ -289,6 +291,18 @@ struct RegexCase
     const char *subject;
     bool expected;
 };
+
+/**
+ * Prints a case by its subject and expectation. gtest and ctest name
+ * each case by this text; the default printer dumps the struct's
+ * bytes, pointers included, which change with every build.
+ */
+void
+PrintTo(const RegexCase &c, std::ostream *os)
+{
+    *os << '"' << c.subject
+        << (c.expected ? "\" matches" : "\" does not match");
+}
 
 class RegexSweep : public ::testing::TestWithParam<RegexCase>
 {

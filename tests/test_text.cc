@@ -263,10 +263,13 @@ TEST(TitleSimilarity, LowForUnrelated)
     EXPECT_LT(sim, 0.65);
 }
 
-/** Metric properties over a sweep of string pairs. */
+/**
+ * Metric properties over a sweep of string pairs. The strings are
+ * std::string so gtest prints (and ctest names) each pair by its
+ * text; pointers would print their addresses.
+ */
 class SimilaritySweep
-    : public ::testing::TestWithParam<
-          std::pair<const char *, const char *>>
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>>
 {
 };
 
