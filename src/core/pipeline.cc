@@ -143,6 +143,7 @@ runPipeline(const PipelineOptions &options)
         DedupOptions dedupOptions = options.dedup;
         dedupOptions.threads = options.threads;
         dedupOptions.metrics = metrics;
+        dedupOptions.trace = options.trace;
         result.dedup = deduplicate(documents, dedupOptions);
         if (metrics) {
             const DedupResult &dedup = result.dedup;

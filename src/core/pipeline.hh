@@ -60,9 +60,11 @@ struct PipelineOptions
     MetricsRegistry *metrics = &MetricsRegistry::global();
     /**
      * Trace target. Each stage is wrapped in a ScopedSpan
-     * (`pipeline.<stage>`) plus one umbrella `pipeline` span;
-     * export with TraceRecorder::toChromeJson(). Defaults to the
-     * process-global recorder; null disables span recording.
+     * (`pipeline.<stage>`) plus one umbrella `pipeline` span, and
+     * dedup records its phase spans (`dedup.*`, see DedupOptions)
+     * inside its stage; export with TraceRecorder::toChromeJson().
+     * Defaults to the process-global recorder; null disables span
+     * recording.
      */
     TraceRecorder *trace = &TraceRecorder::global();
 };

@@ -24,23 +24,12 @@ struct RowView
     std::string canonicalTitle;
 };
 
-bool
-defaultReviewOracle(const Erratum &a, const Erratum &b)
-{
-    return strings::canonicalize(a.description) ==
-           strings::canonicalize(b.description);
-}
-
 } // namespace
 
 DedupResult
 deduplicate(const std::vector<ErrataDocument> &documents,
             const DedupOptions &options)
 {
-    auto reviewOracle =
-        options.reviewOracle ? options.reviewOracle
-                             : defaultReviewOracle;
-
     // Flatten rows.
     std::vector<RowView> rows;
     for (std::size_t d = 0; d < documents.size(); ++d) {
@@ -111,16 +100,25 @@ deduplicate(const std::vector<ErrataDocument> &documents,
     };
 
     // Scoring compares each representative against many others, so
-    // canonicalization, tokenization and the byte histogram move out
-    // of the pair loop into one profile per representative; the
-    // thresholded kernel then screens most pairs without running the
-    // quadratic Jaro window loop. Kept pairs and scores are
-    // bit-identical to titleSimilarity (see similarity.hh).
+    // canonicalization, tokenization, the byte histogram and the Jaro
+    // position masks move out of the pair loop into one profile per
+    // representative; the thresholded kernel then screens most pairs
+    // without running Jaro. Kept pairs and scores are bit-identical
+    // to titleSimilarity (see similarity.hh). Review emulates the
+    // paper's manual inspection, confirming a pair when the
+    // descriptions are identical up to canonicalization, so each
+    // representative's canonical description is computed here once.
     std::vector<TitleProfile> profiles(reps.size());
-    parallelFor(reps.size(), options.threads, [&](std::size_t i) {
-        profiles[i] =
-            makeTitleProfile(rows[reps[i]].erratum->title);
-    });
+    std::vector<std::string> descriptions(reps.size());
+    {
+        ScopedSpan span(options.trace, "dedup.profiles");
+        parallelFor(reps.size(), options.threads, [&](std::size_t i) {
+            const Erratum &erratum = *rows[reps[i]].erratum;
+            profiles[i] = makeTitleProfile(erratum.title);
+            descriptions[i] =
+                strings::canonicalize(erratum.description);
+        });
+    }
 
     // Candidate generation + similarity scoring is the hot loop and
     // is read-only over rows/index/profiles, so it shards across
@@ -143,11 +141,17 @@ deduplicate(const std::vector<ErrataDocument> &documents,
         acc.stats += part.stats;
     };
 
+    // Candidates hold representative indices; reps ascend in row
+    // order, so ordering by them is ordering by row.
     CandidateShard generated;
     if (options.useNgramIndex) {
         NgramIndex index(3);
-        for (std::size_t rep : reps)
-            index.add(rows[rep].erratum->title);
+        {
+            ScopedSpan span(options.trace, "dedup.index");
+            for (std::size_t rep : reps)
+                index.add(rows[rep].erratum->title);
+        }
+        ScopedSpan span(options.trace, "dedup.score");
         generated = parallelMapReduce<CandidateShard>(
             reps.size(), options.threads,
             [&](std::size_t begin, std::size_t end) {
@@ -166,8 +170,8 @@ deduplicate(const std::vector<ErrataDocument> &documents,
                             profiles[i], profiles[hit.docId],
                             options.reviewThreshold, &shard.stats);
                         if (sim) {
-                            shard.candidates.push_back(Candidate{
-                                reps[i], reps[hit.docId], *sim});
+                            shard.candidates.push_back(
+                                Candidate{i, hit.docId, *sim});
                         }
                     }
                 }
@@ -175,6 +179,7 @@ deduplicate(const std::vector<ErrataDocument> &documents,
             },
             mergeShards);
     } else {
+        ScopedSpan span(options.trace, "dedup.score");
         generated = parallelMapReduce<CandidateShard>(
             reps.size(), options.threads,
             [&](std::size_t begin, std::size_t end) {
@@ -188,7 +193,7 @@ deduplicate(const std::vector<ErrataDocument> &documents,
                             options.reviewThreshold, &shard.stats);
                         if (sim) {
                             shard.candidates.push_back(
-                                Candidate{reps[i], reps[j], *sim});
+                                Candidate{i, j, *sim});
                         }
                     }
                 }
@@ -212,26 +217,31 @@ deduplicate(const std::vector<ErrataDocument> &documents,
     }
 
     // Review in decreasing title similarity, as the paper did.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.similarity != b.similarity)
-                      return a.similarity > b.similarity;
-                  if (a.a != b.a)
-                      return a.a < b.a;
-                  return a.b < b.b;
-              });
-    for (const Candidate &candidate : candidates) {
-        if (forest.connected(candidate.a, candidate.b))
-            continue;
-        ++result.reviewedPairs;
-        if (reviewOracle(*rows[candidate.a].erratum,
-                         *rows[candidate.b].erratum)) {
-            if (forest.unite(candidate.a, candidate.b))
-                ++result.reviewConfirmedMerges;
+    {
+        ScopedSpan span(options.trace, "dedup.review");
+        std::sort(candidates.begin(), candidates.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      if (a.similarity != b.similarity)
+                          return a.similarity > b.similarity;
+                      if (a.a != b.a)
+                          return a.a < b.a;
+                      return a.b < b.b;
+                  });
+        for (const Candidate &candidate : candidates) {
+            const std::size_t a = reps[candidate.a];
+            const std::size_t b = reps[candidate.b];
+            if (forest.connected(a, b))
+                continue;
+            ++result.reviewedPairs;
+            if (descriptions[candidate.a] == descriptions[candidate.b]) {
+                if (forest.unite(a, b))
+                    ++result.reviewConfirmedMerges;
+            }
         }
     }
 
     // ---- Assign cluster keys ---------------------------------------
+    ScopedSpan keysSpan(options.trace, "dedup.keys");
     std::map<std::size_t, std::uint32_t> keyOfRoot;
     result.keyByDoc.resize(documents.size());
     for (std::size_t d = 0; d < documents.size(); ++d)

@@ -6,23 +6,23 @@
  * numeric identifier; Intel provides no such mechanism, so duplicates
  * are found by title — first exact (canonicalized) title matches,
  * then remaining pairs ranked by decreasing title similarity and
- * confirmed by review (simulated here by comparing the full entries,
- * which is what the manual inspection did). The resulting keying
- * mechanism assigns one cluster key to every group of identical
- * errata.
+ * confirmed by review (simulated here by comparing the canonicalized
+ * descriptions, which is what the manual inspection did). The
+ * resulting keying mechanism assigns one cluster key to every group
+ * of identical errata.
  */
 
 #ifndef REMEMBERR_DEDUP_DEDUP_HH
 #define REMEMBERR_DEDUP_DEDUP_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "corpus/corpus.hh"
 #include "model/erratum.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "text/similarity.hh"
 
 namespace rememberr {
@@ -55,12 +55,6 @@ struct DedupOptions
     /** Minimum n-gram overlap for index candidates. */
     double ngramMinOverlap = 0.30;
     /**
-     * Review decision for a surfaced pair. The default emulates the
-     * paper's manual inspection: confirm when the descriptions are
-     * identical up to canonicalization.
-     */
-    std::function<bool(const Erratum &, const Erratum &)> reviewOracle;
-    /**
      * Worker threads for candidate generation + similarity scoring
      * (0 = all hardware threads, 1 = serial). Results are
      * bit-identical for every thread count: shards merge in index
@@ -70,6 +64,10 @@ struct DedupOptions
     /** When set, receives dedup.simkernel.* counters describing how
      * often the thresholded similarity kernel short-circuited. */
     MetricsRegistry *metrics = nullptr;
+    /** When set, receives one span per phase: dedup.profiles,
+     * dedup.index (n-gram candidate generation only), dedup.score,
+     * dedup.review and dedup.keys. */
+    TraceRecorder *trace = nullptr;
 };
 
 /** Outcome of deduplication. */

@@ -291,9 +291,8 @@ buildTransition(const Prog &prog, RegexLinearCache &cache, Dfa &dfa,
  * the building scan). Shared lock must be held.
  */
 int
-scanCached(const Prog &prog, const RegexLinearCache &cache,
-           const Dfa &dfa, bool anchored, std::string_view subject,
-           std::size_t from)
+scanCached(const RegexLinearCache &cache, const Dfa &dfa,
+           bool anchored, std::string_view subject, std::size_t from)
 {
     std::vector<std::int32_t> startKernel;
     if (anchored)
@@ -413,7 +412,7 @@ decideWithCache(const Prog &prog, RegexLinearCache *cache,
     Dfa &dfa = anchored ? cache->anchored : cache->unanchored;
     {
         std::shared_lock<std::shared_mutex> lock(cache->mutex);
-        int r = scanCached(prog, *cache, dfa, anchored, subject, from);
+        int r = scanCached(*cache, dfa, anchored, subject, from);
         if (r >= 0)
             return r == 1;
     }

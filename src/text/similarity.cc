@@ -1,6 +1,7 @@
 #include "similarity.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
@@ -242,46 +243,115 @@ levenshteinSimilarity(std::string_view a, std::string_view b)
                      static_cast<double>(longest);
 }
 
+namespace {
+
+JaroMasks
+makeJaroMasks(std::string_view s)
+{
+    JaroMasks masks;
+    masks.words = (s.size() + 63) / 64;
+    // Rows in first-occurrence order; the shared zero row follows
+    // them when some byte is absent, so row indices stay below 256.
+    std::array<bool, 256> present{};
+    std::size_t distinct = 0;
+    for (char c : s) {
+        const unsigned char byte = static_cast<unsigned char>(c);
+        if (!present[byte]) {
+            present[byte] = true;
+            masks.slot[byte] = static_cast<std::uint8_t>(distinct++);
+        }
+    }
+    if (distinct < 256) {
+        for (std::size_t byte = 0; byte < 256; ++byte) {
+            if (!present[byte])
+                masks.slot[byte] = static_cast<std::uint8_t>(distinct);
+        }
+        ++distinct;
+    }
+    masks.rows.assign(distinct * masks.words, 0);
+    for (std::size_t j = 0; j < s.size(); ++j) {
+        const std::size_t row =
+            masks.slot[static_cast<unsigned char>(s[j])];
+        masks.rows[row * masks.words + j / 64] |= std::uint64_t{1}
+                                                  << (j % 64);
+    }
+    return masks;
+}
+
+/**
+ * Bit-parallel Jaro over bm, the position masks of b. For each a[i]
+ * the match is the lowest set bit of mask[a[i]] & ~bMatched within
+ * the window, found by walking the window's words from its low end:
+ * exactly the "first unmatched equal j" the textbook loop picks, so
+ * match and transposition counts, and the double, are the same.
+ */
 double
-jaroSimilarity(std::string_view a, std::string_view b)
+jaroKernel(std::string_view a, std::string_view b, const JaroMasks &bm)
 {
     if (a.empty() && b.empty())
         return 1.0;
     if (a.empty() || b.empty())
         return 0.0;
-    std::size_t window =
-        std::max(a.size(), b.size()) / 2;
+    std::size_t window = std::max(a.size(), b.size()) / 2;
     if (window > 0)
         --window;
 
-    std::vector<bool> aMatched(a.size(), false);
-    std::vector<bool> bMatched(b.size(), false);
+    // Matched-position bitsets of a and b, back to back.
+    const std::size_t aWords = (a.size() + 63) / 64;
+    std::vector<std::uint64_t> matched(aWords + bm.words, 0);
+    std::uint64_t *aMatched = matched.data();
+    std::uint64_t *bMatched = aMatched + aWords;
+
+    constexpr std::uint64_t ones = ~std::uint64_t{0};
     std::size_t matches = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        std::size_t lo = i > window ? i - window : 0;
-        std::size_t hi = std::min(b.size(), i + window + 1);
-        for (std::size_t j = lo; j < hi; ++j) {
-            if (bMatched[j] || a[i] != b[j])
-                continue;
-            aMatched[i] = true;
-            bMatched[j] = true;
-            ++matches;
-            break;
+        const std::size_t lo = i > window ? i - window : 0;
+        const std::size_t hi = std::min(b.size(), i + window + 1);
+        if (lo >= hi)
+            continue;
+        const std::uint64_t *row =
+            &bm.rows[bm.slot[static_cast<unsigned char>(a[i])] *
+                     bm.words];
+        const std::size_t first = lo / 64, last = (hi - 1) / 64;
+        for (std::size_t w = first; w <= last; ++w) {
+            std::uint64_t pick = row[w] & ~bMatched[w];
+            if (w == first)
+                pick &= ones << (lo % 64);
+            if (w == last)
+                pick &= ones >> (63 - (hi - 1) % 64);
+            if (pick != 0) {
+                bMatched[w] |= std::uint64_t{1}
+                               << std::countr_zero(pick);
+                aMatched[i / 64] |= std::uint64_t{1} << (i % 64);
+                ++matches;
+                break;
+            }
         }
     }
     if (matches == 0)
         return 0.0;
 
+    // Pair the k-th matched a position with the k-th matched b
+    // position; both sets hold `matches` bits, so the b walk never
+    // runs past its last word.
     std::size_t transpositions = 0;
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!aMatched[i])
-            continue;
-        while (!bMatched[k])
-            ++k;
-        if (a[i] != b[k])
-            ++transpositions;
-        ++k;
+    std::size_t bw = 0;
+    std::uint64_t bBits = bMatched[0];
+    for (std::size_t aw = 0; aw < aWords; ++aw) {
+        for (std::uint64_t aBits = aMatched[aw]; aBits != 0;
+             aBits &= aBits - 1) {
+            while (bBits == 0)
+                bBits = bMatched[++bw];
+            const std::size_t i =
+                aw * 64 + static_cast<std::size_t>(
+                              std::countr_zero(aBits));
+            const std::size_t j =
+                bw * 64 + static_cast<std::size_t>(
+                              std::countr_zero(bBits));
+            bBits &= bBits - 1;
+            if (a[i] != b[j])
+                ++transpositions;
+        }
     }
     double md = static_cast<double>(matches);
     return (md / a.size() + md / b.size() +
@@ -290,9 +360,10 @@ jaroSimilarity(std::string_view a, std::string_view b)
 }
 
 double
-jaroWinklerSimilarity(std::string_view a, std::string_view b)
+jaroWinklerKernel(std::string_view a, std::string_view b,
+                  const JaroMasks &bm)
 {
-    double jaro = jaroSimilarity(a, b);
+    double jaro = jaroKernel(a, b, bm);
     std::size_t prefix = 0;
     for (std::size_t i = 0;
          i < std::min({a.size(), b.size(), std::size_t{4}}); ++i) {
@@ -302,6 +373,20 @@ jaroWinklerSimilarity(std::string_view a, std::string_view b)
             break;
     }
     return jaro + prefix * 0.1 * (1.0 - jaro);
+}
+
+} // namespace
+
+double
+jaroSimilarity(std::string_view a, std::string_view b)
+{
+    return jaroKernel(a, b, makeJaroMasks(b));
+}
+
+double
+jaroWinklerSimilarity(std::string_view a, std::string_view b)
+{
+    return jaroWinklerKernel(a, b, makeJaroMasks(b));
 }
 
 double
@@ -433,6 +518,7 @@ makeTitleProfile(std::string_view title)
                          profile.tokens.end());
     for (char c : profile.canonical)
         ++profile.histogram[static_cast<unsigned char>(c)];
+    profile.masks = makeJaroMasks(profile.canonical);
     return profile;
 }
 
@@ -528,8 +614,8 @@ titleSimilarityAtLeast(const TitleProfile &a, const TitleProfile &b,
                 return std::nullopt;
             } else {
                 ++s.jaroRuns;
-                const double jw = jaroWinklerSimilarity(a.canonical,
-                                                        b.canonical);
+                const double jw = jaroWinklerKernel(
+                    a.canonical, b.canonical, b.masks);
                 result = std::max(jw, jac);
             }
         }

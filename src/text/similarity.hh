@@ -63,7 +63,11 @@ std::size_t damerauDistance(std::string_view a, std::string_view b);
 /** Levenshtein similarity normalized to [0, 1]; 1 means equal. */
 double levenshteinSimilarity(std::string_view a, std::string_view b);
 
-/** Jaro similarity in [0, 1]. */
+/**
+ * Jaro similarity in [0, 1], computed by the bit-parallel kernel
+ * over b's position masks (JaroMasks); the double equals the
+ * textbook window loop's for every input.
+ */
 double jaroSimilarity(std::string_view a, std::string_view b);
 
 /**
@@ -102,10 +106,29 @@ levenshteinSimilarityAtLeast(std::string_view a, std::string_view b,
                              double min_similarity);
 
 /**
+ * Per-byte position bitmasks of a string s, the Jaro kernel's view
+ * of its second argument: bit j of byte c's row is set when
+ * s[j] == c. Only bytes that occur in s get a row; every absent byte
+ * shares one all-zero row. A title thus costs the 256-byte slot
+ * table plus ceil(|s| / 64) words per distinct byte, not a full
+ * 256-row table.
+ */
+struct JaroMasks
+{
+    /** Row index of each byte value. */
+    std::array<std::uint8_t, 256> slot{};
+    /** 64-bit words per row: ceil(|s| / 64). */
+    std::size_t words = 0;
+    /** Rows back to back, `words` words each. */
+    std::vector<std::uint64_t> rows;
+};
+
+/**
  * Precomputed per-title state for the thresholded composite
  * similarity: dedup compares each candidate title against many
- * others, so canonicalization, tokenization and the byte histogram
- * move out of the pair loop into one pass per title.
+ * others, so canonicalization, tokenization, the byte histogram and
+ * the Jaro position masks move out of the pair loop into one pass
+ * per title.
  */
 struct TitleProfile
 {
@@ -115,6 +138,8 @@ struct TitleProfile
     std::vector<std::string> tokens;
     /** Byte histogram of the canonical text (Jaro upper bound). */
     std::array<std::uint32_t, 256> histogram{};
+    /** Position masks of the canonical text (Jaro kernel). */
+    JaroMasks masks;
 };
 
 TitleProfile makeTitleProfile(std::string_view title);
@@ -125,9 +150,9 @@ struct SimilarityKernelStats
     /** Pairs scored. */
     std::uint64_t pairs = 0;
     /** Pairs rejected by the histogram screen without running the
-     * quadratic Jaro window loop. */
+     * Jaro kernel. */
     std::uint64_t screenRejects = 0;
-    /** Pairs where the full Jaro-Winkler loop actually ran. */
+    /** Pairs where the Jaro-Winkler kernel actually ran. */
     std::uint64_t jaroRuns = 0;
     /** Pairs at or above the threshold. */
     std::uint64_t kept = 0;
@@ -139,9 +164,10 @@ struct SimilarityKernelStats
  * Thresholded composite similarity over precomputed profiles: the
  * exact titleSimilarity when it is >= minKeep, nullopt otherwise.
  * A conservative histogram upper bound on Jaro-Winkler skips the
- * quadratic window loop whenever the pair provably cannot reach
- * minKeep (or Jaccard already decides the max) — kept pairs and
- * their scores are bit-identical to titleSimilarity.
+ * Jaro kernel whenever the pair provably cannot reach minKeep (or
+ * Jaccard already decides the max); the kernel that does run reads
+ * b's precomputed masks. Kept pairs and their scores are
+ * bit-identical to titleSimilarity.
  */
 std::optional<double>
 titleSimilarityAtLeast(const TitleProfile &a, const TitleProfile &b,

@@ -83,6 +83,55 @@ TEST(Pipeline, DefaultSeedOutputsArePinned)
                   reinterpret_cast<const unsigned char *>(keys.data()),
                   keys.size())),
               "1d7d32c467094f80");
+
+    // The dedup counters behind those keys: a scoring change that
+    // keeps the clusters can still not move what it screened,
+    // scored, reviewed or merged.
+    const DedupResult &dedup = result.dedup;
+    EXPECT_EQ(dedup.candidatePairsConsidered, 68702u);
+    EXPECT_EQ(dedup.simKernel.jaroRuns, 50481u);
+    EXPECT_EQ(dedup.simKernel.screenRejects, 18192u);
+    EXPECT_EQ(dedup.simKernel.kept, 9985u);
+    EXPECT_EQ(dedup.reviewedPairs, 9985u);
+    EXPECT_EQ(dedup.reviewConfirmedMerges, 30u);
+    EXPECT_EQ(dedup.exactTitleMerges, 1285u);
+    EXPECT_EQ(dedup.numericIdMerges, 121u);
+    EXPECT_EQ(dedup.clusters.size(), 1127u);
+}
+
+TEST(Pipeline, DedupPhaseSpansNestInsideDedupStage)
+{
+    setLogQuiet(true);
+    TraceRecorder recorder;
+    PipelineOptions options;
+    options.roundTripDocuments = false;
+    options.lint = false;
+    options.metrics = nullptr;
+    options.trace = &recorder;
+    runPipeline(options);
+
+    const std::vector<TraceEvent> events = recorder.snapshot();
+    auto only = [&](const std::string &name) {
+        std::vector<TraceEvent> found;
+        for (const TraceEvent &event : events) {
+            if (event.name == name)
+                found.push_back(event);
+        }
+        EXPECT_EQ(found.size(), 1u) << name;
+        return found.empty() ? TraceEvent{} : found.front();
+    };
+    const TraceEvent stage = only("pipeline.dedup");
+    std::uint64_t phaseUs = 0;
+    for (const char *name : {"dedup.profiles", "dedup.index",
+                             "dedup.score", "dedup.review",
+                             "dedup.keys"}) {
+        const TraceEvent phase = only(name);
+        EXPECT_LE(stage.tsUs, phase.tsUs) << name;
+        EXPECT_LE(phase.tsUs + phase.durUs, stage.tsUs + stage.durUs)
+            << name;
+        phaseUs += phase.durUs;
+    }
+    EXPECT_LE(phaseUs, stage.durUs);
 }
 
 TEST(Pipeline, SeedChangesTextButNotStructure)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Local CI driver: the checks a change must pass before it merges.
 #
-#   1. tier-1: configure + build + full ctest suite;
+#   1. tier-1: configure + build with warnings as errors + full
+#      ctest suite;
 #   2. source hygiene (tools/check_format.sh);
 #   3. corpus static analysis: `rememberr check` against the
 #      accepted-findings baseline (tools/check.baseline) — fails on
@@ -42,8 +43,9 @@
 #  11. an UndefinedBehaviorSanitizer build running the parser,
 #      regex (including the tier differential, the tokenizer
 #      byte-table differential and the automata procedures),
-#      diagnostics, snapshot, file-io and CLI tests, where the
-#      bit-twiddling lives.
+#      similarity-kernel (word-boundary window masks), diagnostics,
+#      snapshot, file-io and CLI tests, where the bit-twiddling
+#      lives.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Exit status: nonzero on the first failing step.
@@ -62,8 +64,8 @@ tsan_tests="test_parallel test_obs test_obs_live
     test_similarity_kernels test_regex_differential test_serve
     test_automata"
 ubsan_tests="test_document test_regex test_regex_differential
-    test_text test_diag test_check test_snapshot test_fileio
-    test_cli test_automata"
+    test_text test_similarity_kernels test_diag test_check
+    test_snapshot test_fileio test_cli test_automata"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
@@ -73,7 +75,7 @@ step() {
 }
 
 step "tier-1 build (${build})"
-cmake -B "$root/$build" -S "$root" > /dev/null
+cmake -B "$root/$build" -S "$root" -DREMEMBERR_WERROR=ON > /dev/null
 cmake --build "$root/$build" -j "$jobs"
 
 step "tier-1 tests"
