@@ -1,13 +1,16 @@
 /**
  * @file
  * Substrate micro-benchmarks: the regex engine against the full rule
- * set, the title-similarity metrics, the n-gram index and the JSON
- * codec. These bound the cost of the pipeline's inner loops.
+ * set, the title-similarity metrics, the n-gram index, the JSON
+ * codec and the two query renderers. These bound the cost of the
+ * pipeline's inner loops and of an uncached serve request.
  */
 
 #include "common.hh"
 
 #include <cstdio>
+
+#include "db/query_plan.hh"
 
 namespace rememberr {
 namespace bench {
@@ -125,6 +128,91 @@ BM_JsonParseDatabase(benchmark::State &state)
     }
 }
 BENCHMARK(BM_JsonParseDatabase)->Unit(benchmark::kMillisecond);
+
+/**
+ * Cold-style serve requests, fixed by one seed: every op, each
+ * filter drawn as perfbench's query-cold draws it (a disclosure
+ * window of up to five years, thresholds, vendor, workaround,
+ * status), run limits of 5 and 20, every grouping and axis.
+ */
+const std::vector<QuerySpec> &
+coldSpecs()
+{
+    static const std::vector<QuerySpec> specs = [] {
+        std::vector<QuerySpec> out;
+        Rng rng(0xc01d5eed);
+        for (int i = 0; i < 1024; ++i) {
+            QuerySpec spec;
+            spec.op = static_cast<QuerySpec::Op>(rng.nextBelow(4));
+            spec.limit = rng.nextBool() ? 5 : 20;
+            spec.groupBy =
+                static_cast<QuerySpec::GroupBy>(rng.nextBelow(3));
+            spec.axis = static_cast<Axis>(rng.nextBelow(3));
+            if (spec.op == QuerySpec::Op::Ping) {
+                out.push_back(spec);
+                continue;
+            }
+            Date from = Date(2008, 1, 1).addDays(
+                rng.nextInRange(0, 16 * 365));
+            spec.disclosedFrom = from;
+            spec.disclosedTo =
+                from.addDays(rng.nextInRange(0, 5 * 365));
+            if (rng.nextBool(0.4))
+                spec.minTriggers = rng.nextInRange(1, 3);
+            if (rng.nextBool(0.3))
+                spec.minOccurrences = rng.nextInRange(1, 3);
+            if (rng.nextBool(0.3))
+                spec.vendor =
+                    rng.nextBool() ? Vendor::Intel : Vendor::Amd;
+            if (rng.nextBool(0.3))
+                spec.workaround =
+                    static_cast<WorkaroundClass>(rng.nextBelow(6));
+            if (rng.nextBool(0.3))
+                spec.status = static_cast<FixStatus>(rng.nextBelow(3));
+            out.push_back(spec);
+        }
+        return out;
+    }();
+    return specs;
+}
+
+/** The oracle: `Query` predicates, a `JsonValue` tree, `dump()`. */
+void
+BM_QueryExecuteOracle(benchmark::State &state)
+{
+    const Database &database = db();
+    const std::vector<QuerySpec> &specs = coldSpecs();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        std::string response =
+            specs[i++ % specs.size()].execute(database).dump();
+        benchmark::DoNotOptimize(response);
+    }
+}
+BENCHMARK(BM_QueryExecuteOracle)->Unit(benchmark::kMicrosecond);
+
+/**
+ * The serve path: compile the plan and render over the column block.
+ * The canonical `query` echo is precomputed, as the daemon has it
+ * from the cache key; the oracle computes it inside `execute`.
+ */
+void
+BM_QueryPlanRender(benchmark::State &state)
+{
+    const ColumnBlock block(db());
+    const std::vector<QuerySpec> &specs = coldSpecs();
+    std::vector<std::string> canonical;
+    for (const QuerySpec &spec : specs)
+        canonical.push_back(spec.canonical());
+    std::size_t i = 0;
+    for (auto _ : state) {
+        std::size_t at = i++ % specs.size();
+        std::string response;
+        QueryPlan(specs[at]).render(block, canonical[at], response);
+        benchmark::DoNotOptimize(response);
+    }
+}
+BENCHMARK(BM_QueryPlanRender)->Unit(benchmark::kMicrosecond);
 
 void
 printSummary()

@@ -13,9 +13,10 @@
  * — different key order in the JSON, different enum spellings
  * ("INTEL" vs "intel"), redundant no-op filters (`min_triggers: 0`)
  * — share one canonical string and therefore one cache entry.
- * `execute()` is the single rendering path for responses: the serve
- * daemon and the in-process equivalence checks both call it, which
- * is what makes "bit-identical over the socket" testable.
+ * `execute()` renders the reference response. The serve daemon
+ * answers through a compiled `QueryPlan` (db/query_plan.hh)
+ * instead, and the tests and benchmarks hold its bytes to
+ * `execute(db).dump()`.
  */
 
 #ifndef REMEMBERR_DB_QUERY_SPEC_HH

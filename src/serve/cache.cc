@@ -9,17 +9,17 @@ ShardedLruCache::ShardedLruCache(std::size_t capacity,
 {
     if (shards == 0)
         shards = 1;
-    if (capacity_ > 0) {
-        perShard_ = capacity_ / shards;
-        if (perShard_ == 0) {
-            // Fewer entries than shards: collapse to one shard so
-            // the total capacity stays exact.
-            shards = 1;
-            perShard_ = capacity_;
-        }
-        shards_.reserve(shards);
-        for (std::size_t i = 0; i < shards; ++i)
-            shards_.push_back(std::make_unique<Shard>());
+    if (capacity_ == 0)
+        return;
+    // Fewer entries than shards: one shard, so no key maps to a
+    // shard without slots.
+    if (capacity_ < shards)
+        shards = 1;
+    shards_.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+        shards_.push_back(std::make_unique<Shard>());
+        shards_.back()->capacity =
+            capacity_ / shards + (i < capacity_ % shards ? 1 : 0);
     }
 }
 
@@ -66,7 +66,7 @@ ShardedLruCache::put(const std::string &key, Value value)
     }
     shard.order.push_front(Entry{key, std::move(value)});
     shard.index.emplace(key, shard.order.begin());
-    while (shard.order.size() > perShard_) {
+    while (shard.order.size() > shard.capacity) {
         shard.index.erase(shard.order.back().key);
         shard.order.pop_back();
         ++shard.evictions;

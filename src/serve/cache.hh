@@ -12,8 +12,12 @@
  * of shards; each shard is an independent mutex + LRU list + index,
  * so concurrent lookups for different queries almost never contend
  * and a shard critical section is a few pointer moves. Capacity is
- * enforced per shard (total capacity / shards, at least one entry),
- * which bounds memory exactly while keeping eviction local.
+ * enforced per shard, which keeps eviction local: every shard holds
+ * capacity / shards entries and the first capacity % shards hold
+ * one more, so the shards together hold exactly `capacity` (with
+ * fewer entries than shards, one shard holds them all). A key can
+ * only use its own shard's slots, so a skewed key set may evict
+ * before the cache as a whole is full.
  */
 
 #ifndef REMEMBERR_SERVE_CACHE_HH
@@ -79,6 +83,8 @@ class ShardedLruCache
         std::list<Entry> order;
         std::unordered_map<std::string, std::list<Entry>::iterator>
             index;
+        /** Entries this shard holds before evicting. */
+        std::size_t capacity = 0;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
@@ -87,7 +93,6 @@ class ShardedLruCache
     Shard &shardFor(const std::string &key);
 
     std::size_t capacity_ = 0;
-    std::size_t perShard_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "db/query_spec.hh"
+#include "db/query_plan.hh"
 #include "util/json.hh"
 #include "util/parallel.hh"
 
@@ -38,7 +38,7 @@ errorLine(const std::string &message)
 } // namespace
 
 Server::Server(const Database &db, ServeOptions options)
-    : db_(db), options_(std::move(options)),
+    : db_(db), columns_(db), options_(std::move(options)),
       cache_(options_.cacheCapacity)
 {
 }
@@ -247,7 +247,7 @@ Server::handleConnection(int fd)
             if (line.empty())
                 continue;
             if (line.size() > options_.maxLineBytes) {
-                errors_.fetch_add(1, std::memory_order_relaxed);
+                countError();
                 outbuf += errorLine("request line exceeds " +
                                     std::to_string(
                                         options_.maxLineBytes) +
@@ -273,7 +273,7 @@ Server::handleConnection(int fd)
             // An unterminated line has outgrown the limit: answer
             // once, then drop the connection (the stream can never
             // resynchronize).
-            errors_.fetch_add(1, std::memory_order_relaxed);
+            countError();
             std::string refusal =
                 errorLine("request line exceeds " +
                           std::to_string(options_.maxLineBytes) +
@@ -368,6 +368,14 @@ Server::sendAll(int, const char *, std::size_t)
 
 #endif
 
+void
+Server::countError()
+{
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.metrics)
+        options_.metrics->counter("serve.errors").add();
+}
+
 ShardedLruCache::Value
 Server::handleLine(const std::string &line)
 {
@@ -381,11 +389,8 @@ Server::handleLine(const std::string &line)
     auto finish = [&](ShardedLruCache::Value response,
                       bool failed =
                           false) -> ShardedLruCache::Value {
-        if (failed) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics)
-                metrics->counter("serve.errors").add();
-        }
+        if (failed)
+            countError();
         if (metrics) {
             auto elapsed =
                 std::chrono::duration_cast<
@@ -417,24 +422,26 @@ Server::handleLine(const std::string &line)
     if (!spec)
         return fail(spec.error().message);
 
-    if (spec.value().op == QuerySpec::Op::Ping) {
-        return finish(std::make_shared<const std::string>(
-            spec.value().execute(db_).dump()));
-    }
+    const QuerySpec &query = spec.value();
+    auto render = [&](std::string_view canonical) {
+        std::string response;
+        QueryPlan(query).render(columns_, canonical, response);
+        return std::make_shared<const std::string>(
+            std::move(response));
+    };
+    if (query.op == QuerySpec::Op::Ping)
+        return finish(render({}));
 
     // Provably-empty filter conjunctions never touch the database:
     // the static lint proves the result set empty on *any* database,
-    // so the response is rendered from the spec alone (executeEmpty
-    // is bit-identical to execute — pinned in tests/test_serve.cc).
-    std::optional<std::string> emptyReason =
-        spec.value().emptyReason();
-    if (emptyReason) {
+    // and the plan renders the empty response without a scan.
+    if (query.emptyReason()) {
         elided_.fetch_add(1, std::memory_order_relaxed);
         if (metrics)
             metrics->counter("serve.query.elided").add();
     }
 
-    std::string key = spec.value().canonical();
+    std::string key = query.canonical();
     if (ShardedLruCache::Value hit = cache_.get(key)) {
         if (metrics)
             metrics->counter("serve.cache.hit").add();
@@ -442,9 +449,7 @@ Server::handleLine(const std::string &line)
     }
     if (metrics && cache_.enabled())
         metrics->counter("serve.cache.miss").add();
-    auto response = std::make_shared<const std::string>(
-        emptyReason ? spec.value().executeEmpty().dump()
-                    : spec.value().execute(db_).dump());
+    ShardedLruCache::Value response = render(key);
     cache_.put(key, response);
     return finish(std::move(response));
 }

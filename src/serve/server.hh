@@ -16,13 +16,15 @@
  *             | {"error": "...", "ok": false} "\n"
  *
  * Architecture: one shared immutable `Database` (typically
- * materialized from the mmap snapshot), an accept thread feeding a
- * bounded queue, and a fixed pool of worker threads each owning one
- * connection at a time with per-connection scratch buffers — the
- * read-mostly analogue of `util/parallel`'s claim-by-atomic worker
- * loop. Responses for deterministic operations are cached in a
- * sharded LRU keyed on the canonical query string, so repeated
- * queries cost one hash lookup instead of a database scan.
+ * materialized from the mmap snapshot) flattened once into a
+ * `ColumnBlock`, an accept thread feeding a bounded queue, and a
+ * fixed pool of worker threads each owning one connection at a time
+ * with per-connection scratch buffers — the read-mostly analogue of
+ * `util/parallel`'s claim-by-atomic worker loop. A query compiles
+ * into a `QueryPlan` that scans the block and renders its response
+ * line directly. Responses for deterministic operations are cached
+ * in a sharded LRU keyed on the canonical query string, so repeated
+ * queries cost one hash lookup instead of a scan.
  *
  * Shutdown is graceful: `stop()` (the CLI calls it on
  * SIGINT/SIGTERM) closes the listening socket, lets every worker
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "db/database.hh"
+#include "db/query_plan.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/cache.hh"
@@ -121,11 +124,15 @@ class Server
 
     /** Process one request line into one response line (no '\n'). */
     ShardedLruCache::Value handleLine(const std::string &line);
+    /** Count one error reply in stats() and `serve.errors`. */
+    void countError();
     ShardedLruCache::Value statsResponse() const;
 
     bool sendAll(int fd, const char *data, std::size_t size);
 
     const Database &db_;
+    /** db_'s columns, which every query plan runs over. */
+    const ColumnBlock columns_;
     ServeOptions options_;
     ShardedLruCache cache_;
 

@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -110,12 +111,19 @@ JsonValue::size() const
     REMEMBERR_PANIC("JsonValue: size() on scalar");
 }
 
-std::string
-jsonEscape(const std::string &text)
+void
+appendJsonEscaped(std::string &out, std::string_view text)
 {
-    std::string out = "\"";
-    for (char c : text) {
-        switch (c) {
+    out += '"';
+    // Copy runs of bytes that need no escape in one append each.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        auto byte = static_cast<unsigned char>(text[i]);
+        if (byte >= 0x20 && byte != '"' && byte != '\\')
+            continue;
+        out.append(text.data() + run, i - run);
+        run = i + 1;
+        switch (byte) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
@@ -123,18 +131,22 @@ jsonEscape(const std::string &text)
           case '\t': out += "\\t"; break;
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+            out += buf;
+          }
         }
     }
+    out.append(text.data() + run, text.size() - run);
     out += '"';
+}
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    appendJsonEscaped(out, text);
     return out;
 }
 
@@ -158,6 +170,19 @@ formatNumber(double value)
 } // namespace
 
 void
+appendJsonCount(std::string &out, std::size_t value)
+{
+    // Below 1e15 formatNumber prints the exact integer ("%.0f" of a
+    // double that holds it exactly); above, defer to it.
+    if (value < 1000000000000000ULL) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+        return;
+    }
+    out += formatNumber(static_cast<double>(value));
+}
+
+void
 JsonValue::writeTo(std::string &out, int indent, int depth) const
 {
     auto newline = [&](int d) {
@@ -178,7 +203,7 @@ JsonValue::writeTo(std::string &out, int indent, int depth) const
         out += formatNumber(number_);
         break;
       case Type::String:
-        out += jsonEscape(string_);
+        appendJsonEscaped(out, string_);
         break;
       case Type::Array:
         if (array_.empty()) {
@@ -208,7 +233,7 @@ JsonValue::writeTo(std::string &out, int indent, int depth) const
                     out += ',';
                 first = false;
                 newline(depth + 1);
-                out += jsonEscape(key);
+                appendJsonEscaped(out, key);
                 out += indent > 0 ? ": " : ":";
                 value.writeTo(out, indent, depth + 1);
             }

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "expected.hh"
@@ -106,6 +107,12 @@ Expected<JsonValue> parseJson(const std::string &text);
 
 /** Escape a string into its JSON representation including quotes. */
 std::string jsonEscape(const std::string &text);
+
+/** Append `jsonEscape(text)` to `out` (the same escaper). */
+void appendJsonEscaped(std::string &out, std::string_view text);
+
+/** Append `value` exactly as `JsonValue(value).dump()` renders it. */
+void appendJsonCount(std::string &out, std::size_t value);
 
 } // namespace rememberr
 

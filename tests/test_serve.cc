@@ -18,6 +18,7 @@
 
 #include "core/pipeline.hh"
 #include "db/query_spec.hh"
+#include "obs/metrics.hh"
 #include "serve/cache.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -101,6 +102,24 @@ TEST(ServeCache, ZeroCapacityDisables)
     cache.put("a", boxed("1"));
     EXPECT_FALSE(cache.get("a"));
     EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(ServeCache, HoldsExactlyItsCapacity)
+{
+    // Capacities below, at and around multiples of the 8 shards: the
+    // per-shard capacities must sum to the total, with no remainder
+    // left unheld.
+    std::vector<std::size_t> capacities;
+    for (std::size_t capacity = 1; capacity <= 40; ++capacity)
+        capacities.push_back(capacity);
+    capacities.push_back(1030);
+    for (std::size_t capacity : capacities) {
+        serve::ShardedLruCache cache(capacity);
+        for (int i = 0; i < 5000; ++i)
+            cache.put("key-" + std::to_string(i), boxed("v"));
+        EXPECT_EQ(cache.size(), cache.capacity())
+            << "capacity " << capacity;
+    }
 }
 
 TEST(ServeCache, RefreshReplacesValueWithoutGrowth)
@@ -255,8 +274,10 @@ TEST_F(ServeTest, TruncatedLineIsNeverAnswered)
 
 TEST_F(ServeTest, OversizedLineIsRejected)
 {
+    MetricsRegistry metrics;
     serve::ServeOptions options;
     options.maxLineBytes = 128;
+    options.metrics = &metrics;
     auto server = startServer(options);
     serve::Client client = connect(*server);
     std::string huge = "{\"op\":\"count\",\"vendor\":\"" +
@@ -266,6 +287,10 @@ TEST_F(ServeTest, OversizedLineIsRejected)
     ASSERT_TRUE(response);
     EXPECT_NE(response.value().find("exceeds"),
               std::string::npos);
+    // The refusal is counted where --metrics-out reads it, too.
+    EXPECT_EQ(server->stats().errors, 1u);
+    EXPECT_EQ(metrics.counter("serve.errors").value(),
+              server->stats().errors);
 }
 
 TEST_F(ServeTest, PipelinedRequestsAnswerInOrder)
@@ -353,8 +378,8 @@ TEST(QuerySpecLint, DetectsProvablyEmptyConjunctions)
 TEST_F(ServeTest, ExecuteEmptyIsBitIdenticalToExecution)
 {
     // For every op shape, the database-free empty render must equal
-    // the full execution byte for byte — the daemon's elision path
-    // depends on it.
+    // the full execution byte for byte, as the daemon's plan does
+    // for the same specs (tests/test_query_plan.cc).
     for (const char *line :
          {"{\"op\":\"count\",\"exact_triggers\":2,"
           "\"min_triggers\":9}",

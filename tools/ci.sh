@@ -40,12 +40,12 @@
 #      from dedup and foureyes shards, the serve stack, whose
 #      sharded LRU cache and worker pool are hammered by concurrent
 #      clients, and the automata decision procedures);
-#  11. an UndefinedBehaviorSanitizer build running the parser,
-#      regex (including the tier differential, the tokenizer
-#      byte-table differential and the automata procedures),
-#      similarity-kernel (word-boundary window masks), diagnostics,
-#      snapshot, file-io and CLI tests, where the bit-twiddling
-#      lives.
+#  11. an AddressSanitizer + UndefinedBehaviorSanitizer build
+#      running the whole tier-1 suite under ctest, with UBSan
+#      findings fatal (halt_on_error): the parsers, the regex tiers,
+#      the similarity kernels' window masks, the snapshot reader and
+#      the query plan's mask walks and buffer appends all run
+#      instrumented.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 # Exit status: nonzero on the first failing step.
@@ -55,17 +55,14 @@ set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-build-ci}
 tsan_build=${build}-tsan
-ubsan_build=${build}-ubsan
+asan_build=${build}-asan
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Sanitizer target lists, shared by the build and run loops below so
+# The TSan target list, shared by the build and run loops below so
 # the two can never drift apart.
 tsan_tests="test_parallel test_obs test_obs_live
     test_similarity_kernels test_regex_differential test_serve
     test_automata"
-ubsan_tests="test_document test_regex test_regex_differential
-    test_text test_similarity_kernels test_diag test_check
-    test_snapshot test_fileio test_cli test_automata"
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
@@ -164,16 +161,14 @@ for t in $tsan_tests; do
     "$root/$tsan_build/tests/$t"
 done
 
-step "undefined-behavior-sanitizer build (${ubsan_build})"
-cmake -B "$root/$ubsan_build" -S "$root" \
-    -DREMEMBERR_SANITIZE=undefined > /dev/null
-# shellcheck disable=SC2086
-cmake --build "$root/$ubsan_build" -j "$jobs" --target $ubsan_tests
+step "address+undefined-behavior-sanitizer build (${asan_build})"
+cmake -B "$root/$asan_build" -S "$root" \
+    -DREMEMBERR_SANITIZE=address,undefined > /dev/null
+cmake --build "$root/$asan_build" -j "$jobs"
 
-step "undefined-behavior-sanitizer tests"
-for t in $ubsan_tests; do
-    UBSAN_OPTIONS=halt_on_error=1 \
-        "$root/$ubsan_build/tests/$t"
-done
+step "address+undefined-behavior-sanitizer tests (whole tier-1 suite)"
+(cd "$root/$asan_build" &&
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        ctest --output-on-failure -j "$jobs")
 
 step "all checks passed"
