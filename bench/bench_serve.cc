@@ -14,8 +14,10 @@
  * sent twice (cache miss, then cache hit) and both response lines
  * must be byte-identical to the in-process `QuerySpec::execute()`
  * rendering. `--smoke` runs that pass plus a small storm for the CI
- * leg, exiting 1 on any divergence; `--port N` targets an external
- * daemon instead of the in-process server.
+ * leg, exiting 1 on any divergence or unless the daemon's stats op
+ * shows the pass took the render and hit paths it meant to; `--port
+ * N` targets an external daemon, which `--smoke` expects fresh,
+ * instead of the in-process server.
  */
 
 #include "common.hh"
@@ -322,6 +324,68 @@ fetchServerStats(const std::string &host, int port)
     return parsed ? parsed.value() : JsonValue();
 }
 
+/** A count from a stats op response (-1 when absent). */
+double
+statsCount(const JsonValue &stats, const char *group, const char *name)
+{
+    const JsonValue *node = &stats;
+    if (group) {
+        if (!stats.isObject() || !stats.contains(group))
+            return -1.0;
+        node = &stats.at(group);
+    }
+    return node->isObject() && node->contains(name)
+               ? node->at(name).asNumber()
+               : -1.0;
+}
+
+/**
+ * The equivalence pass sends every shape three times over a fresh
+ * daemon: the first send of a count/run/group line renders (one
+ * miss), the repeat and the pipelined burst hit its entry, and a
+ * provably-empty line is counted elided on all three. Pings count
+ * no lookup. Prints each counter's rise and returns false when one
+ * differs, so a daemon that re-renders hits, or whose hits skip the
+ * elision count, fails the smoke test.
+ */
+bool
+checkPassCounters(const JsonValue &before, const JsonValue &after,
+                  const std::vector<std::string> &shapes)
+{
+    double cacheable = 0;
+    double empty = 0;
+    for (const std::string &shape : shapes) {
+        auto spec = QuerySpec::fromJson(parseJson(shape).value());
+        if (!spec || spec.value().op == QuerySpec::Op::Ping)
+            continue;
+        ++cacheable;
+        if (spec.value().emptyReason())
+            ++empty;
+    }
+    struct Expectation
+    {
+        const char *group;
+        const char *name;
+        double rise;
+    };
+    const Expectation expectations[] = {
+        {"cache", "misses", cacheable},
+        {"cache", "hits", 2 * cacheable},
+        {nullptr, "elided", 3 * empty},
+    };
+    bool ok = true;
+    for (const Expectation &expect : expectations) {
+        double from = statsCount(before, expect.group, expect.name);
+        double to = statsCount(after, expect.group, expect.name);
+        bool held = from >= 0 && to - from == expect.rise;
+        std::printf("pass counters: %s rose by %.0f (expected %.0f)%s\n",
+                    expect.name, to - from, expect.rise,
+                    held ? "" : " MISMATCH");
+        ok = ok && held;
+    }
+    return ok;
+}
+
 int
 runServe(bool smoke, int externalPort, std::size_t clientsArg,
          std::size_t queriesArg)
@@ -367,6 +431,7 @@ runServe(bool smoke, int externalPort, std::size_t clientsArg,
                 config.queries, smoke ? " (smoke)" : "",
                 config.port);
 
+    JsonValue beforePass = fetchServerStats(config.host, config.port);
     int mismatches = checkEquivalence(database, config.host,
                                       config.port, shapes);
     if (mismatches < 0)
@@ -376,6 +441,8 @@ runServe(bool smoke, int externalPort, std::size_t clientsArg,
                 "pipelined)\n",
                 equivalent ? "OK, bit-identical" : "FAILED",
                 shapes.size());
+    bool countersHeld = checkPassCounters(
+        beforePass, fetchServerStats(config.host, config.port), shapes);
 
     // The storm proper.
     std::atomic<std::uint64_t> sent{0};
@@ -486,6 +553,13 @@ runServe(bool smoke, int externalPort, std::size_t clientsArg,
         std::fprintf(stderr,
                      "FAIL: provably-empty queries were not "
                      "elided (counter %.0f)\n", elided);
+        return 1;
+    }
+    if (smoke && !countersHeld) {
+        std::fprintf(stderr,
+                     "FAIL: the equivalence pass did not move the "
+                     "daemon's miss, hit and elided counters as "
+                     "expected\n");
         return 1;
     }
     if (smoke)

@@ -176,6 +176,59 @@ coldSpecs()
     return specs;
 }
 
+/** The request line a client sends for `spec` (keys sorted). */
+std::string
+requestLine(const QuerySpec &spec)
+{
+    JsonValue request = JsonValue::makeObject();
+    request["op"] = JsonValue(std::string(queryOpName(spec.op)));
+    auto text = [&](const char *key, std::string_view value) {
+        request[key] = JsonValue(std::string(value));
+    };
+    if (spec.vendor)
+        text("vendor", vendorName(*spec.vendor));
+    if (spec.workaround)
+        text("workaround", workaroundClassName(*spec.workaround));
+    if (spec.status)
+        text("status", fixStatusName(*spec.status));
+    if (spec.minTriggers)
+        request["min_triggers"] = JsonValue(*spec.minTriggers);
+    if (spec.minOccurrences)
+        request["min_occurrences"] = JsonValue(*spec.minOccurrences);
+    if (spec.disclosedFrom) {
+        text("disclosed_from", spec.disclosedFrom->toString());
+        text("disclosed_to", spec.disclosedTo->toString());
+    }
+    if (spec.op == QuerySpec::Op::Run)
+        request["limit"] = JsonValue(spec.limit);
+    if (spec.op == QuerySpec::Op::Group) {
+        text("by", groupByName(spec.groupBy));
+        if (spec.groupBy != QuerySpec::GroupBy::Workaround)
+            text("axis", axisName(spec.axis));
+    }
+    return request.dump();
+}
+
+/**
+ * The serve daemon's work on a cache miss before the plan runs:
+ * parse the line, build the spec and its canonical `query` echo.
+ */
+void
+BM_QuerySpecFromLine(benchmark::State &state)
+{
+    std::vector<std::string> lines;
+    for (const QuerySpec &spec : coldSpecs())
+        lines.push_back(requestLine(spec));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        auto spec = QuerySpec::fromJson(
+            parseJson(lines[i++ % lines.size()]).value());
+        std::string canonical = spec.value().canonical();
+        benchmark::DoNotOptimize(canonical);
+    }
+}
+BENCHMARK(BM_QuerySpecFromLine)->Unit(benchmark::kMicrosecond);
+
 /** The oracle: `Query` predicates, a `JsonValue` tree, `dump()`. */
 void
 BM_QueryExecuteOracle(benchmark::State &state)
@@ -193,8 +246,9 @@ BENCHMARK(BM_QueryExecuteOracle)->Unit(benchmark::kMicrosecond);
 
 /**
  * The serve path: compile the plan and render over the column block.
- * The canonical `query` echo is precomputed, as the daemon has it
- * from the cache key; the oracle computes it inside `execute`.
+ * The canonical `query` echo is precomputed (the daemon builds it on
+ * a miss, timed in `BM_QuerySpecFromLine`); the oracle computes it
+ * inside `execute`.
  */
 void
 BM_QueryPlanRender(benchmark::State &state)

@@ -1,6 +1,9 @@
 #include "query_spec.hh"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 
 #include "util/strings.hh"
 
@@ -8,78 +11,20 @@ namespace rememberr {
 
 namespace {
 
-/** FNV-1a 64-bit (matches the snapshot content hash family). */
-std::uint64_t
-fnv1a(const std::string &text)
+/**
+ * The value of an enum with `count` values whose `name` equals
+ * `text`, ignoring case.
+ */
+template <typename Enum>
+std::optional<Enum>
+parseName(std::string_view text, std::string_view (*name)(Enum),
+          int count)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
+    for (int i = 0; i < count; ++i) {
+        auto value = static_cast<Enum>(i);
+        if (strings::equalsIgnoreCase(text, name(value)))
+            return value;
     }
-    return hash;
-}
-
-std::optional<Vendor>
-parseVendor(const std::string &text)
-{
-    std::string lowered = strings::toLower(text);
-    if (lowered == "intel")
-        return Vendor::Intel;
-    if (lowered == "amd")
-        return Vendor::Amd;
-    return std::nullopt;
-}
-
-std::optional<WorkaroundClass>
-parseWorkaround(const std::string &text)
-{
-    std::string lowered = strings::toLower(text);
-    for (int c = 0; c <= 5; ++c) {
-        auto cls = static_cast<WorkaroundClass>(c);
-        if (lowered ==
-            strings::toLower(std::string(workaroundClassName(cls))))
-            return cls;
-    }
-    return std::nullopt;
-}
-
-std::optional<FixStatus>
-parseStatus(const std::string &text)
-{
-    std::string lowered = strings::toLower(text);
-    for (int s = 0; s <= 2; ++s) {
-        auto status = static_cast<FixStatus>(s);
-        if (lowered ==
-            strings::toLower(std::string(fixStatusName(status))))
-            return status;
-    }
-    return std::nullopt;
-}
-
-std::optional<Axis>
-parseAxis(const std::string &text)
-{
-    std::string lowered = strings::toLower(text);
-    if (lowered == "trigger")
-        return Axis::Trigger;
-    if (lowered == "context")
-        return Axis::Context;
-    if (lowered == "effect")
-        return Axis::Effect;
-    return std::nullopt;
-}
-
-std::optional<QuerySpec::GroupBy>
-parseGroupBy(const std::string &text)
-{
-    std::string lowered = strings::toLower(text);
-    if (lowered == "category")
-        return QuerySpec::GroupBy::Category;
-    if (lowered == "class")
-        return QuerySpec::GroupBy::Class;
-    if (lowered == "workaround")
-        return QuerySpec::GroupBy::Workaround;
     return std::nullopt;
 }
 
@@ -106,12 +51,13 @@ asFlag(const std::string &field, const JsonValue &value)
     return value.asBool();
 }
 
-Expected<std::string>
+/** A view of a JSON string held by `value`, or an error. */
+Expected<std::string_view>
 asText(const std::string &field, const JsonValue &value)
 {
     if (!value.isString())
         return makeError("field '" + field + "' must be a string");
-    return value.asString();
+    return std::string_view(value.asString());
 }
 
 } // namespace
@@ -163,7 +109,7 @@ QuerySpec::fromJson(const JsonValue &json)
     } else if (opName.value() == "group") {
         spec.op = Op::Group;
     } else {
-        return makeError("unknown op '" + opName.value() +
+        return makeError("unknown op '" + std::string(opName.value()) +
                          "' (expected ping, count, run or group)");
     }
 
@@ -176,10 +122,10 @@ QuerySpec::fromJson(const JsonValue &json)
             auto text = asText(key, value);
             if (!text)
                 return text.error();
-            spec.vendor = parseVendor(text.value());
+            spec.vendor = parseName(text.value(), vendorName, 2);
             if (!spec.vendor)
-                return makeError("unknown vendor '" + text.value() +
-                                 "'");
+                return makeError("unknown vendor '" +
+                                 std::string(text.value()) + "'");
         } else if (key == "category") {
             auto text = asText(key, value);
             if (!text)
@@ -188,7 +134,7 @@ QuerySpec::fromJson(const JsonValue &json)
                 Taxonomy::instance().parseCategory(text.value());
             if (!spec.category)
                 return makeError("unknown category '" +
-                                 text.value() + "'");
+                                 std::string(text.value()) + "'");
         } else if (key == "class") {
             auto text = asText(key, value);
             if (!text)
@@ -196,24 +142,25 @@ QuerySpec::fromJson(const JsonValue &json)
             spec.categoryClass =
                 Taxonomy::instance().parseClass(text.value());
             if (!spec.categoryClass)
-                return makeError("unknown class '" + text.value() +
-                                 "'");
+                return makeError("unknown class '" +
+                                 std::string(text.value()) + "'");
         } else if (key == "workaround") {
             auto text = asText(key, value);
             if (!text)
                 return text.error();
-            spec.workaround = parseWorkaround(text.value());
+            spec.workaround =
+                parseName(text.value(), workaroundClassName, 6);
             if (!spec.workaround)
                 return makeError("unknown workaround class '" +
-                                 text.value() + "'");
+                                 std::string(text.value()) + "'");
         } else if (key == "status") {
             auto text = asText(key, value);
             if (!text)
                 return text.error();
-            spec.status = parseStatus(text.value());
+            spec.status = parseName(text.value(), fixStatusName, 3);
             if (!spec.status)
                 return makeError("unknown fix status '" +
-                                 text.value() + "'");
+                                 std::string(text.value()) + "'");
         } else if (key == "min_triggers") {
             auto count = asCount(key, value);
             if (!count)
@@ -270,11 +217,12 @@ QuerySpec::fromJson(const JsonValue &json)
             auto text = asText(key, value);
             if (!text)
                 return text.error();
-            auto by = parseGroupBy(text.value());
+            auto by = parseName(text.value(), groupByName, 3);
             if (!by)
                 return makeError("unknown grouping '" +
-                                 text.value() + "' (expected "
-                                 "category, class or workaround)");
+                                 std::string(text.value()) +
+                                 "' (expected category, class or "
+                                 "workaround)");
             spec.groupBy = *by;
         } else if (key == "axis") {
             if (spec.op != Op::Group)
@@ -283,9 +231,10 @@ QuerySpec::fromJson(const JsonValue &json)
             auto text = asText(key, value);
             if (!text)
                 return text.error();
-            auto axis = parseAxis(text.value());
+            auto axis = parseName(text.value(), axisName, 3);
             if (!axis)
-                return makeError("unknown axis '" + text.value() +
+                return makeError("unknown axis '" +
+                                 std::string(text.value()) +
                                  "' (expected trigger, context or "
                                  "effect)");
             spec.axis = *axis;
@@ -310,62 +259,68 @@ QuerySpec::fromJson(const JsonValue &json)
 std::string
 QuerySpec::canonical() const
 {
-    std::string out = "op=";
+    std::string out;
+    out.reserve(160);
+    out += "op=";
     out += queryOpName(op);
     if (op == Op::Ping)
         return out;
 
-    auto field = [&](const char *name, const std::string &value) {
+    // Each helper appends " name=" and then the field's value.
+    auto field = [&](std::string_view name) -> std::string & {
         out += ' ';
         out += name;
         out += '=';
-        out += value;
+        return out;
     };
+    auto lowered = [&](std::string_view name, std::string_view value) {
+        field(name);
+        for (char c : value)
+            out += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+    };
+    auto number = [&](std::string_view name, std::size_t value) {
+        field(name);
+        char digits[24];
+        out.append(digits,
+                   std::to_chars(digits, std::end(digits), value).ptr);
+    };
+    const Taxonomy &taxonomy = Taxonomy::instance();
     if (vendor)
-        field("vendor",
-              strings::toLower(std::string(vendorName(*vendor))));
+        lowered("vendor", vendorName(*vendor));
     if (category)
-        field("category",
-              Taxonomy::instance().categoryById(*category).code);
+        field("category") += taxonomy.categoryById(*category).code;
     if (categoryClass)
-        field("class",
-              Taxonomy::instance().classById(*categoryClass).code);
+        field("class") += taxonomy.classById(*categoryClass).code;
     if (workaround)
-        field("workaround",
-              strings::toLower(
-                  std::string(workaroundClassName(*workaround))));
+        lowered("workaround", workaroundClassName(*workaround));
     if (status)
-        field("status",
-              strings::toLower(std::string(fixStatusName(*status))));
+        lowered("status", fixStatusName(*status));
     // A zero minimum matches everything; dropping it makes
     // {"min_triggers": 0} and the absent field the same query.
     if (minTriggers && *minTriggers > 0)
-        field("min_triggers", std::to_string(*minTriggers));
+        number("min_triggers", *minTriggers);
     if (exactTriggers)
-        field("exact_triggers", std::to_string(*exactTriggers));
+        number("exact_triggers", *exactTriggers);
     if (minOccurrences && *minOccurrences > 0)
-        field("min_occurrences", std::to_string(*minOccurrences));
+        number("min_occurrences", *minOccurrences);
     if (complexConditions)
-        field("complex", *complexConditions ? "1" : "0");
+        field("complex") += *complexConditions ? '1' : '0';
     if (simulationOnly)
-        field("simulation_only", *simulationOnly ? "1" : "0");
-    if (disclosedFrom)
-        field("disclosed", disclosedFrom->toString() + ".." +
-                               disclosedTo->toString());
+        field("simulation_only") += *simulationOnly ? '1' : '0';
+    if (disclosedFrom) {
+        disclosedFrom->appendTo(field("disclosed"));
+        out += "..";
+        disclosedTo->appendTo(out);
+    }
     if (op == Op::Run)
-        field("limit", std::to_string(limit));
+        number("limit", limit);
     if (op == Op::Group) {
-        field("by", std::string(groupByName(groupBy)));
+        field("by") += groupByName(groupBy);
         if (groupBy != GroupBy::Workaround)
-            field("axis", std::string(axisName(axis)));
+            field("axis") += axisName(axis);
     }
     return out;
-}
-
-std::uint64_t
-QuerySpec::fingerprint() const
-{
-    return fnv1a(canonical());
 }
 
 Query

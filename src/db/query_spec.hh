@@ -6,17 +6,19 @@
  * A `QuerySpec` names the same filters `Query` composes from
  * lambdas, but as plain data, so a query can arrive over a wire
  * (the `serve` protocol), be normalized into a canonical textual
- * form, fingerprinted for result caching, and replayed against any
- * `Database` with exactly the semantics of the in-process builder.
+ * form, and be replayed against any `Database` with exactly the
+ * semantics of the in-process builder.
  *
  * Normalization guarantees that two requests meaning the same query
  * — different key order in the JSON, different enum spellings
  * ("INTEL" vs "intel"), redundant no-op filters (`min_triggers: 0`)
- * — share one canonical string and therefore one cache entry.
- * `execute()` renders the reference response. The serve daemon
- * answers through a compiled `QueryPlan` (db/query_plan.hh)
- * instead, and the tests and benchmarks hold its bytes to
- * `execute(db).dump()`.
+ * — share one canonical string, which every response echoes as its
+ * `query` field, so the two get byte-identical responses. (The
+ * serve daemon caches responses by request line, not by this
+ * string; see serve/cache.hh.) `execute()` renders the reference
+ * response. The serve daemon answers through a compiled
+ * `QueryPlan` (db/query_plan.hh) instead, and the tests and
+ * benchmarks hold its bytes to `execute(db).dump()`.
  */
 
 #ifndef REMEMBERR_DB_QUERY_SPEC_HH
@@ -77,12 +79,9 @@ struct QuerySpec
      * The canonical textual form: fixed field order, enum values
      * re-rendered from their parsed identity, no-op filters and
      * irrelevant op parameters dropped. Equal canonical strings
-     * define equal queries (the result-cache key).
+     * define equal queries (the response's `query` echo).
      */
     std::string canonical() const;
-
-    /** FNV-1a 64 hash of `canonical()` (cache sharding key). */
-    std::uint64_t fingerprint() const;
 
     /** Rebuild the equivalent fluent builder over `db`. */
     Query toQuery(const Database &db) const;

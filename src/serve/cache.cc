@@ -24,48 +24,51 @@ ShardedLruCache::ShardedLruCache(std::size_t capacity,
 }
 
 ShardedLruCache::Shard &
-ShardedLruCache::shardFor(const std::string &key)
+ShardedLruCache::shardFor(std::string_view key)
 {
-    return *shards_[std::hash<std::string>{}(key) %
+    return *shards_[std::hash<std::string_view>{}(key) %
                     shards_.size()];
 }
 
 ShardedLruCache::Value
-ShardedLruCache::get(const std::string &key)
+ShardedLruCache::get(std::string_view key, bool *elided)
 {
     if (!enabled())
         return nullptr;
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        ++shard.misses;
+    if (it == shard.index.end())
         return nullptr;
-    }
     ++shard.hits;
     // Bump to most-recently-used; splice relinks in place, so the
-    // index iterator stays valid.
+    // index iterator and its key view stay valid.
     shard.order.splice(shard.order.begin(), shard.order,
                        it->second);
+    if (elided)
+        *elided = it->second->elided;
     return it->second->value;
 }
 
 void
-ShardedLruCache::put(const std::string &key, Value value)
+ShardedLruCache::put(std::string_view key, Value value, bool elided)
 {
     if (!enabled())
         return;
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
+    ++shard.misses;
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
         it->second->value = std::move(value);
+        it->second->elided = elided;
         shard.order.splice(shard.order.begin(), shard.order,
                            it->second);
         return;
     }
-    shard.order.push_front(Entry{key, std::move(value)});
-    shard.index.emplace(key, shard.order.begin());
+    shard.order.push_front(Entry{std::string(key), std::move(value),
+                                 elided});
+    shard.index.emplace(shard.order.front().key, shard.order.begin());
     while (shard.order.size() > shard.capacity) {
         shard.index.erase(shard.order.back().key);
         shard.order.pop_back();

@@ -2,11 +2,22 @@
  * @file
  * Sharded LRU result cache for the query daemon.
  *
- * Keys are canonical query strings (see `QuerySpec::canonical()`),
- * values are fully rendered response lines shared as
- * `std::shared_ptr<const std::string>` so a hit hands out the bytes
- * without copying and an eviction never invalidates a response a
- * connection is still writing.
+ * Keys are request lines, byte for byte (the daemon strips only the
+ * line terminator), values are fully rendered response lines shared
+ * as `std::shared_ptr<const std::string>` so a hit hands out the
+ * bytes without copying and an eviction never invalidates a
+ * response a connection is still writing. Each entry also keeps an
+ * `elided` flag (the query was answered from the empty-result lint
+ * alone), so a hit can be counted like the render it replaces.
+ *
+ * Lookups take a `std::string_view`: the index is keyed on views of
+ * the keys its entries own, so a hit neither copies the key nor
+ * allocates.
+ *
+ * Counting: `get` counts a hit and `put` counts a miss, so `stats()`
+ * holds one hit or one miss per cached response handed out. A probe
+ * for a key that is never put (a daemon line that turns out to be a
+ * ping, a stats request or an error) counts nothing.
  *
  * Concurrency model: the key's hash picks one of a small fixed set
  * of shards; each shard is an independent mutex + LRU list + index,
@@ -28,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -54,11 +66,18 @@ class ShardedLruCache
     explicit ShardedLruCache(std::size_t capacity,
                              std::size_t shards = 8);
 
-    /** Lookup; bumps the entry to most-recently-used on hit. */
-    Value get(const std::string &key);
+    /**
+     * Lookup; on a hit, bumps the entry to most-recently-used,
+     * counts the hit and stores the entry's flag through `elided`
+     * when given. A miss counts nothing (see `put`).
+     */
+    Value get(std::string_view key, bool *elided = nullptr);
 
-    /** Insert or refresh; evicts the shard's LRU tail as needed. */
-    void put(const std::string &key, Value value);
+    /**
+     * Insert or refresh the response rendered after a missed `get`,
+     * counting that miss; evicts the shard's LRU tail as needed.
+     */
+    void put(std::string_view key, Value value, bool elided = false);
 
     /** Aggregate hit/miss/eviction counts over all shards. */
     Stats stats() const;
@@ -74,6 +93,7 @@ class ShardedLruCache
     {
         std::string key;
         Value value;
+        bool elided = false;
     };
 
     struct Shard
@@ -81,7 +101,8 @@ class ShardedLruCache
         mutable std::mutex mutex;
         /** Front = most recently used. */
         std::list<Entry> order;
-        std::unordered_map<std::string, std::list<Entry>::iterator>
+        /** Views of the keys `order` owns; list nodes never move. */
+        std::unordered_map<std::string_view, std::list<Entry>::iterator>
             index;
         /** Entries this shard holds before evicting. */
         std::size_t capacity = 0;
@@ -90,7 +111,7 @@ class ShardedLruCache
         std::uint64_t evictions = 0;
     };
 
-    Shard &shardFor(const std::string &key);
+    Shard &shardFor(std::string_view key);
 
     std::size_t capacity_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;

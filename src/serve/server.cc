@@ -239,11 +239,13 @@ Server::handleConnection(int fd)
             std::size_t newline = inbuf.find('\n', start);
             if (newline == std::string::npos)
                 break;
-            std::string line =
-                inbuf.substr(start, newline - start);
+            // A view into inbuf, which is not touched until every
+            // buffered line is answered.
+            std::string_view line(inbuf.data() + start,
+                                  newline - start);
             start = newline + 1;
             if (!line.empty() && line.back() == '\r')
-                line.pop_back();
+                line.remove_suffix(1);
             if (line.empty())
                 continue;
             if (line.size() > options_.maxLineBytes) {
@@ -376,13 +378,23 @@ Server::countError()
         options_.metrics->counter("serve.errors").add();
 }
 
-ShardedLruCache::Value
-Server::handleLine(const std::string &line)
+void
+Server::countElided()
 {
-    auto begin = std::chrono::steady_clock::now();
+    elided_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.metrics)
+        options_.metrics->counter("serve.query.elided").add();
+}
+
+ShardedLruCache::Value
+Server::handleLine(std::string_view line)
+{
+    MetricsRegistry *metrics = options_.metrics;
+    std::chrono::steady_clock::time_point begin;
+    if (metrics)
+        begin = std::chrono::steady_clock::now();
     ScopedSpan span(options_.trace, "serve.request");
     requests_.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry *metrics = options_.metrics;
     if (metrics)
         metrics->counter("serve.requests").add();
 
@@ -408,7 +420,19 @@ Server::handleLine(const std::string &line)
                       true);
     };
 
-    auto parsed = parseJson(line);
+    // A response is a pure function of the line's bytes (the
+    // database is immutable), so a repeated line is answered before
+    // it is parsed. Only count/run/group responses are ever cached.
+    bool elided = false;
+    if (ShardedLruCache::Value hit = cache_.get(line, &elided)) {
+        if (elided)
+            countElided();
+        if (metrics)
+            metrics->counter("serve.cache.hit").add();
+        return finish(std::move(hit));
+    }
+
+    auto parsed = parseJson(std::string(line));
     if (!parsed)
         return fail("parse: " + parsed.error().message);
     const JsonValue &request = parsed.value();
@@ -435,22 +459,13 @@ Server::handleLine(const std::string &line)
     // Provably-empty filter conjunctions never touch the database:
     // the static lint proves the result set empty on *any* database,
     // and the plan renders the empty response without a scan.
-    if (query.emptyReason()) {
-        elided_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics)
-            metrics->counter("serve.query.elided").add();
-    }
-
-    std::string key = query.canonical();
-    if (ShardedLruCache::Value hit = cache_.get(key)) {
-        if (metrics)
-            metrics->counter("serve.cache.hit").add();
-        return finish(std::move(hit));
-    }
+    elided = query.emptyReason().has_value();
+    if (elided)
+        countElided();
     if (metrics && cache_.enabled())
         metrics->counter("serve.cache.miss").add();
-    ShardedLruCache::Value response = render(key);
-    cache_.put(key, response);
+    ShardedLruCache::Value response = render(query.canonical());
+    cache_.put(line, response, elided);
     return finish(std::move(response));
 }
 

@@ -22,9 +22,10 @@
  * with per-connection scratch buffers — the read-mostly analogue of
  * `util/parallel`'s claim-by-atomic worker loop. A query compiles
  * into a `QueryPlan` that scans the block and renders its response
- * line directly. Responses for deterministic operations are cached
- * in a sharded LRU keyed on the canonical query string, so repeated
- * queries cost one hash lookup instead of a scan.
+ * line directly. Responses to count/run/group lines are cached in a
+ * sharded LRU keyed on the request line's bytes: a response is a
+ * pure function of the line and the immutable database, so a
+ * repeated line costs one hash lookup, before any JSON parsing.
  *
  * Shutdown is graceful: `stop()` (the CLI calls it on
  * SIGINT/SIGTERM) closes the listening socket, lets every worker
@@ -41,6 +42,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -123,9 +125,11 @@ class Server
     void handleConnection(int fd);
 
     /** Process one request line into one response line (no '\n'). */
-    ShardedLruCache::Value handleLine(const std::string &line);
+    ShardedLruCache::Value handleLine(std::string_view line);
     /** Count one error reply in stats() and `serve.errors`. */
     void countError();
+    /** Count one elided query in stats() and `serve.query.elided`. */
+    void countElided();
     ShardedLruCache::Value statsResponse() const;
 
     bool sendAll(int fd, const char *data, std::size_t size);

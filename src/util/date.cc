@@ -75,7 +75,7 @@ Date::fromSerial(std::int64_t days)
 }
 
 Expected<Date>
-Date::parse(const std::string &text)
+Date::parse(std::string_view text)
 {
     // Strictly "YYYY-MM-DD", matching toString: exactly ten
     // characters, zero-padded digit spans, '-' separators. sscanf is
@@ -92,7 +92,7 @@ Date::parse(const std::string &text)
             shaped = shaped && digit(i);
     }
     if (!shaped)
-        return makeError("malformed date '" + text + "'");
+        return makeError("malformed date '" + std::string(text) + "'");
     auto span = [&](std::size_t from, std::size_t to) {
         int value = 0;
         for (std::size_t i = from; i < to; ++i)
@@ -103,9 +103,11 @@ Date::parse(const std::string &text)
     unsigned m = static_cast<unsigned>(span(5, 7));
     unsigned d = static_cast<unsigned>(span(8, 10));
     if (m < 1 || m > 12)
-        return makeError("month out of range in '" + text + "'");
+        return makeError("month out of range in '" + std::string(text) +
+                         "'");
     if (d < 1 || d > daysInMonth(y, m))
-        return makeError("day out of range in '" + text + "'");
+        return makeError("day out of range in '" + std::string(text) +
+                         "'");
     return Date(y, m, d);
 }
 
@@ -139,12 +141,38 @@ Date::day() const
 std::string
 Date::toString() const
 {
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+Date::appendTo(std::string &out) const
+{
     int y;
     unsigned m, d;
     civilFromDays(days_, y, m, d);
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", y, m, d);
-    return buf;
+    if (y < 0 || y > 9999) {
+        char buf[24];
+        int size =
+            std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", y, m, d);
+        out.append(buf, static_cast<std::size_t>(size));
+        return;
+    }
+    // Two zero-padded digits at `at`.
+    auto pair = [](char *at, unsigned value) {
+        at[0] = static_cast<char>('0' + value / 10);
+        at[1] = static_cast<char>('0' + value % 10);
+    };
+    const auto year = static_cast<unsigned>(y);
+    char text[10];
+    pair(text, year / 100);
+    pair(text + 2, year % 100);
+    text[4] = '-';
+    pair(text + 5, m);
+    text[7] = '-';
+    pair(text + 8, d);
+    out.append(text, sizeof(text));
 }
 
 std::int64_t

@@ -14,6 +14,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "expected.hh"
 
@@ -33,7 +34,7 @@ class Date
     static Date fromSerial(std::int64_t days);
 
     /** Parse "YYYY-MM-DD". */
-    static Expected<Date> parse(const std::string &text);
+    static Expected<Date> parse(std::string_view text);
 
     std::int64_t serial() const { return days_; }
 
@@ -43,6 +44,9 @@ class Date
 
     /** Render as "YYYY-MM-DD". */
     std::string toString() const;
+
+    /** Append `toString()`'s bytes to `out`. */
+    void appendTo(std::string &out) const;
 
     /** Whole days from this to other (positive if other is later). */
     std::int64_t daysUntil(Date other) const;

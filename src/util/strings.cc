@@ -1,5 +1,6 @@
 #include "strings.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -155,21 +156,19 @@ endsWith(std::string_view text, std::string_view suffix)
 }
 
 bool
+equalsIgnoreCase(std::string_view a, std::string_view b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+               return lowerChar(x) == lowerChar(y);
+           });
+}
+
+bool
 containsIgnoreCase(std::string_view haystack, std::string_view needle)
 {
-    if (needle.empty())
-        return true;
-    if (needle.size() > haystack.size())
-        return false;
     for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-        bool match = true;
-        for (std::size_t j = 0; j < needle.size(); ++j) {
-            if (lowerChar(haystack[i + j]) != lowerChar(needle[j])) {
-                match = false;
-                break;
-            }
-        }
-        if (match)
+        if (equalsIgnoreCase(haystack.substr(i, needle.size()), needle))
             return true;
     }
     return false;

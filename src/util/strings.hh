@@ -42,6 +42,9 @@ std::string replaceAll(std::string_view text, std::string_view from,
 bool startsWith(std::string_view text, std::string_view prefix);
 bool endsWith(std::string_view text, std::string_view suffix);
 
+/** Case-insensitive equality (ASCII), without copies. */
+bool equalsIgnoreCase(std::string_view a, std::string_view b);
+
 /** Case-insensitive substring test (ASCII). */
 bool containsIgnoreCase(std::string_view haystack,
                         std::string_view needle);

@@ -1,19 +1,25 @@
 /**
  * @file
  * Tests for the query daemon stack: QuerySpec normalization (the
- * cache key), the sharded LRU result cache, and the TCP server's
- * protocol behaviour — malformed/truncated/oversized request lines,
- * pipelining, connection limits, graceful shutdown, and a
- * concurrent-clients hammer that doubles as the TSan workload for
- * the sharded cache.
+ * canonical `query` echo), the sharded LRU result cache and its
+ * line-keyed counting, the TCP server's protocol behaviour —
+ * malformed/truncated/oversized request lines, pipelining,
+ * connection limits, graceful shutdown — the pinned bytes of a fixed
+ * request stream, and a concurrent-clients hammer that doubles as
+ * the TSan workload for the sharded cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -24,11 +30,12 @@
 #include "serve/server.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace rememberr {
 namespace {
 
-// ---- QuerySpec: the canonical cache key ---------------------------------
+// ---- QuerySpec: the canonical query echo --------------------------------
 
 TEST(QuerySpec, CanonicalIsSpellingInsensitive)
 {
@@ -41,7 +48,6 @@ TEST(QuerySpec, CanonicalIsSpellingInsensitive)
     ASSERT_TRUE(a);
     ASSERT_TRUE(b);
     EXPECT_EQ(a.value().canonical(), b.value().canonical());
-    EXPECT_EQ(a.value().fingerprint(), b.value().fingerprint());
 }
 
 TEST(QuerySpec, CanonicalSeparatesDifferentQueries)
@@ -54,7 +60,6 @@ TEST(QuerySpec, CanonicalSeparatesDifferentQueries)
     ASSERT_TRUE(a);
     ASSERT_TRUE(b);
     EXPECT_NE(a.value().canonical(), b.value().canonical());
-    EXPECT_NE(a.value().fingerprint(), b.value().fingerprint());
 }
 
 TEST(QuerySpec, RejectsUnknownOpAndFields)
@@ -93,6 +98,25 @@ TEST(ServeCache, EvictsLeastRecentlyUsed)
     EXPECT_TRUE(cache.get("c"));
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ServeCache, GetCountsHitsAndPutCountsMisses)
+{
+    serve::ShardedLruCache cache(4, 1);
+    // A failed probe counts nothing: the key may never be cached.
+    EXPECT_FALSE(cache.get("a"));
+    EXPECT_EQ(cache.stats().misses, 0u);
+    cache.put("a", boxed("1"), true);
+    EXPECT_EQ(cache.stats().misses, 1u);
+
+    // Looked up through a view into a larger buffer, with its flag.
+    const std::string buffer = "xay";
+    bool elided = false;
+    auto hit = cache.get(std::string_view(buffer).substr(1, 1), &elided);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(*hit, "1");
+    EXPECT_TRUE(elided);
+    EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ServeCache, ZeroCapacityDisables)
@@ -297,18 +321,24 @@ TEST_F(ServeTest, PipelinedRequestsAnswerInOrder)
 {
     auto server = startServer();
     serve::Client client = connect(*server);
+    const std::string intel = "{\"op\":\"count\",\"vendor\":\"intel\"}";
     std::vector<std::string> requests = {
-        "{\"op\":\"count\",\"vendor\":\"intel\"}",
+        intel,
         "{\"op\":\"count\",\"vendor\":\"amd\"}",
         "{\"op\":\"group\",\"by\":\"workaround\"}",
         "{\"op\":\"run\",\"limit\":3}",
-        "{\"op\":\"count\",\"vendor\":\"intel\"}", // cache hit
+        intel, // cache hit
         "{\"op\":\"ping\"}",
+        intel, // cache hit
+        // Another spelling of `intel`: its own entry, the same bytes.
+        "{\"vendor\":\"INTEL\", \"op\":\"count\", \"min_triggers\":0}",
+        "{\"op\":\"run\",\"limit\":3}", // hit, sent with "\r\n"
     };
     std::string batch;
     for (const std::string &request : requests)
-        batch += request + "\n";
+        batch += request + (&request == &requests.back() ? "\r\n" : "\n");
     ASSERT_TRUE(client.sendText(batch));
+    std::vector<std::string> responses;
     for (const std::string &request : requests) {
         auto response = client.readLine();
         ASSERT_TRUE(response) << request;
@@ -316,8 +346,33 @@ TEST_F(ServeTest, PipelinedRequestsAnswerInOrder)
             EXPECT_EQ(response.value(), expected(request))
                 << request;
         }
+        responses.push_back(response.value());
     }
-    EXPECT_GE(server->cache().stats().hits, 1u);
+    EXPECT_EQ(responses[4], responses[0]);
+    EXPECT_EQ(responses[6], responses[0]);
+    EXPECT_EQ(responses[7], responses[0]);
+    // One lookup per count/run/group line, keyed on the line's bytes:
+    // the ping counts none, each spelling renders once, and the
+    // "\r\n" line hits the entry its "\n" twin made.
+    EXPECT_EQ(server->cache().stats().misses, 5u);
+    EXPECT_EQ(server->cache().stats().hits, 3u);
+    EXPECT_EQ(server->cache().size(), 5u);
+}
+
+TEST_F(ServeTest, OnlyQueryLinesCountCacheLookups)
+{
+    auto server = startServer();
+    serve::Client client = connect(*server);
+    for (const char *line :
+         {"{\"op\":\"ping\"}", "{\"op\":\"stats\"}", "{\"op\":\"count\"",
+          "{\"op\":\"count\",\"bogus\":1}", "{\"op\":\"ping\"}"}) {
+        ASSERT_TRUE(client.sendLine(line)) << line;
+        ASSERT_TRUE(client.readLine()) << line;
+    }
+    EXPECT_EQ(server->cache().stats().hits, 0u);
+    EXPECT_EQ(server->cache().stats().misses, 0u);
+    EXPECT_EQ(server->cache().size(), 0u);
+    EXPECT_EQ(server->stats().errors, 2u);
 }
 
 TEST_F(ServeTest, RejectsConnectionsBeyondLimit)
@@ -417,6 +472,8 @@ TEST_F(ServeTest, ProvablyEmptyQueriesAreElided)
     ASSERT_TRUE(client.sendLine(request));
     ASSERT_TRUE(client.readLine());
     EXPECT_EQ(server->stats().elided, 2u);
+    EXPECT_EQ(server->cache().stats().misses, 1u);
+    EXPECT_EQ(server->cache().stats().hits, 1u);
 
     ASSERT_TRUE(client.sendLine("{\"op\":\"stats\"}"));
     auto stats = client.readLine();
@@ -463,6 +520,226 @@ TEST_F(ServeTest, StopDrainsAndRefusesNewConnections)
     EXPECT_FALSE(server->running());
     EXPECT_FALSE(serve::Client::connect("127.0.0.1", port));
     server->stop(); // idempotent
+}
+
+// ---- Pinned response bytes ----------------------------------------------
+
+/** bench_serve's 45 request shapes, in its order. */
+std::vector<std::string>
+benchServeShapes()
+{
+    std::vector<std::string> shapes;
+    const char *vendors[] = {nullptr, "intel", "amd"};
+    for (const char *vendor : vendors) {
+        std::string base = "{\"op\":\"count\"";
+        if (vendor)
+            base += std::string(",\"vendor\":\"") + vendor + "\"";
+        for (const char *filter :
+             {"", ",\"workaround\":\"none\"",
+              ",\"workaround\":\"software\"", ",\"min_triggers\":2",
+              ",\"min_triggers\":3", ",\"complex\":true",
+              ",\"simulation_only\":true", ",\"min_occurrences\":2"})
+            shapes.push_back(base + filter + "}");
+    }
+    shapes.push_back("{\"op\":\"count\",\"status\":\"fixed\"}");
+    shapes.push_back("{\"op\":\"count\",\"status\":\"nofix\"}");
+    shapes.push_back("{\"op\":\"count\",\"disclosed_from\":"
+                     "\"2016-01-01\",\"disclosed_to\":\"2019-12-31\"}");
+    shapes.push_back("{\"op\":\"count\",\"disclosed_from\":"
+                     "\"2020-01-01\",\"disclosed_to\":\"2023-12-31\"}");
+    for (const char *axis : {"trigger", "context", "effect"}) {
+        for (const char *by : {"class", "category"})
+            shapes.push_back(std::string("{\"op\":\"group\",\"by\":\"") +
+                             by + "\",\"axis\":\"" + axis + "\"}");
+    }
+    shapes.push_back("{\"op\":\"group\",\"by\":\"workaround\"}");
+    for (const char *vendor : vendors) {
+        std::string base = "{\"op\":\"run\"";
+        if (vendor)
+            base += std::string(",\"vendor\":\"") + vendor + "\"";
+        shapes.push_back(base + ",\"limit\":5}");
+        shapes.push_back(base + ",\"limit\":20}");
+    }
+    shapes.push_back("{\"op\":\"count\",\"exact_triggers\":1,"
+                     "\"min_triggers\":4}");
+    shapes.push_back("{\"op\":\"run\",\"limit\":5,\"disclosed_from\":"
+                     "\"2022-01-01\",\"disclosed_to\":\"2020-12-31\"}");
+    shapes.push_back("{\"op\":\"group\",\"by\":\"workaround\","
+                     "\"exact_triggers\":0,\"min_triggers\":2}");
+    shapes.push_back("{\"op\":\"ping\"}");
+    return shapes;
+}
+
+/** Flip the case of each letter of `text` with probability 1/2. */
+std::string
+mixCase(std::string_view text, Rng &rng)
+{
+    std::string out(text);
+    for (char &c : out) {
+        if (rng.nextBool())
+            c = static_cast<char>(
+                std::isupper(static_cast<unsigned char>(c))
+                    ? std::tolower(static_cast<unsigned char>(c))
+                    : std::toupper(static_cast<unsigned char>(c)));
+    }
+    return out;
+}
+
+/**
+ * A cold-style request line: fresh filter values and disclosure
+ * windows (some inverted, some with contradictory trigger counts),
+ * enum values in mixed case and the keys in shuffled order.
+ */
+std::string
+coldStyleLine(Rng &rng)
+{
+    std::vector<std::pair<std::string, std::string>> fields;
+    auto text = [](std::string_view value) {
+        return "\"" + std::string(value) + "\"";
+    };
+    auto number = [](std::int64_t value) {
+        return std::to_string(value);
+    };
+    const char *ops[] = {"count", "run", "group"};
+    std::string op = ops[rng.nextBelow(3)];
+    fields.emplace_back("op", text(op));
+    if (rng.nextBool(0.8)) {
+        const Date base(2008, 1, 1);
+        std::int64_t from = rng.nextInRange(0, 16 * 365);
+        std::int64_t length = rng.nextInRange(0, 5 * 365);
+        std::int64_t to =
+            rng.nextBool(0.1) ? from - 1 - length : from + length;
+        fields.emplace_back("disclosed_from",
+                            text(base.addDays(from).toString()));
+        fields.emplace_back("disclosed_to",
+                            text(base.addDays(to).toString()));
+    }
+    if (rng.nextBool(0.1)) {
+        std::int64_t exact = rng.nextInRange(0, 3);
+        fields.emplace_back("exact_triggers", number(exact));
+        fields.emplace_back("min_triggers",
+                            number(exact + rng.nextInRange(1, 3)));
+    } else if (rng.nextBool(0.4)) {
+        fields.emplace_back("min_triggers",
+                            number(rng.nextInRange(0, 3)));
+    }
+    if (rng.nextBool(0.3))
+        fields.emplace_back("min_occurrences",
+                            number(rng.nextInRange(0, 3)));
+    if (rng.nextBool(0.3))
+        fields.emplace_back(
+            "vendor", text(mixCase(rng.nextBool() ? "intel" : "amd",
+                                   rng)));
+    if (rng.nextBool(0.3))
+        fields.emplace_back(
+            "workaround",
+            text(mixCase(workaroundClassName(static_cast<WorkaroundClass>(
+                             rng.nextBelow(6))),
+                         rng)));
+    if (rng.nextBool(0.3))
+        fields.emplace_back(
+            "status", text(mixCase(fixStatusName(static_cast<FixStatus>(
+                                       rng.nextBelow(3))),
+                                   rng)));
+    if (rng.nextBool(0.1))
+        fields.emplace_back("complex", rng.nextBool() ? "true" : "false");
+    if (rng.nextBool(0.1))
+        fields.emplace_back("simulation_only",
+                            rng.nextBool() ? "true" : "false");
+    // Descriptor codes match case-insensitively in their prefix only.
+    const Taxonomy &taxonomy = Taxonomy::instance();
+    if (rng.nextBool(0.1)) {
+        const std::string &code =
+            taxonomy
+                .categoryById(static_cast<CategoryId>(
+                    rng.nextBelow(taxonomy.categoryCount())))
+                .code;
+        fields.emplace_back("category", text(mixCase(code.substr(0, 3), rng) +
+                                             code.substr(3)));
+    }
+    if (rng.nextBool(0.1)) {
+        const std::string &code =
+            taxonomy
+                .classById(static_cast<ClassId>(
+                    rng.nextBelow(taxonomy.classCount())))
+                .code;
+        fields.emplace_back("class", text(mixCase(code.substr(0, 3), rng) +
+                                          code.substr(3)));
+    }
+    if (op == "run" && rng.nextBool(0.7))
+        fields.emplace_back("limit", number(rng.nextInRange(0, 30)));
+    if (op == "group") {
+        const char *groupings[] = {"category", "class", "workaround"};
+        std::string by = groupings[rng.nextBelow(3)];
+        fields.emplace_back("by", text(mixCase(by, rng)));
+        const char *axes[] = {"trigger", "context", "effect"};
+        if (by != "workaround" && rng.nextBool(0.7))
+            fields.emplace_back(
+                "axis", text(mixCase(axes[rng.nextBelow(3)], rng)));
+    }
+    rng.shuffle(fields);
+    std::string line = "{";
+    for (const auto &[key, value] : fields) {
+        if (line.size() > 1)
+            line += ',';
+        line += text(key) + ":" + value;
+    }
+    return line + "}";
+}
+
+/** FNV-1a 64, continued from `hash`. */
+std::uint64_t
+fnv1a64(std::string_view bytes,
+        std::uint64_t hash = 0xcbf29ce484222325ULL)
+{
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Every response byte the daemon sends for a fixed request stream,
+ * pinned: bench_serve's shapes twice each (render, then cache hit)
+ * and 2,000 seeded cold-style lines over one connection. Each reply
+ * must equal in-process execution, and the hash of all of them must
+ * not move, so a change to the canonical `query` echo shows here
+ * even though the daemon and `execute(db).dump()` would move
+ * together.
+ */
+TEST_F(ServeTest, ResponsesArePinned)
+{
+    std::vector<std::string> lines;
+    for (const std::string &shape : benchServeShapes()) {
+        lines.push_back(shape);
+        lines.push_back(shape);
+    }
+    ASSERT_EQ(lines.size(), 90u);
+    Rng rng(0xc01d5eedULL);
+    for (int i = 0; i < 2000; ++i)
+        lines.push_back(coldStyleLine(rng));
+
+    auto server = startServer();
+    serve::Client client = connect(*server);
+    std::uint64_t hash = fnv1a64({});
+    constexpr std::size_t kBatch = 64;
+    for (std::size_t start = 0; start < lines.size(); start += kBatch) {
+        std::size_t end = std::min(lines.size(), start + kBatch);
+        std::string batch;
+        for (std::size_t i = start; i < end; ++i)
+            batch += lines[i] + "\n";
+        ASSERT_TRUE(client.sendText(batch));
+        for (std::size_t i = start; i < end; ++i) {
+            auto response = client.readLine();
+            ASSERT_TRUE(response) << lines[i];
+            ASSERT_EQ(response.value(), expected(lines[i])) << lines[i];
+            hash = fnv1a64(response.value() + "\n", hash);
+        }
+    }
+    EXPECT_EQ(server->stats().errors, 0u);
+    EXPECT_EQ(hash, 0x73da6184939fa16cULL)
+        << std::hex << "response hash is now 0x" << hash;
 }
 
 /**

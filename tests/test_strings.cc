@@ -90,6 +90,14 @@ TEST(ContainsIgnoreCase, Basic)
     EXPECT_FALSE(containsIgnoreCase("BIOS update", "bias"));
 }
 
+TEST(EqualsIgnoreCase, Basic)
+{
+    EXPECT_TRUE(equalsIgnoreCase("DocumentationFix", "documentationfix"));
+    EXPECT_TRUE(equalsIgnoreCase("", ""));
+    EXPECT_FALSE(equalsIgnoreCase("intel", "intel "));
+    EXPECT_FALSE(equalsIgnoreCase("amd", "and"));
+}
+
 TEST(Padding, LeftAndRight)
 {
     EXPECT_EQ(padRight("ab", 5), "ab   ");
