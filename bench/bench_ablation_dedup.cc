@@ -2,8 +2,7 @@
  * @file
  * Ablation benches for the design choices in DESIGN.md:
  *   D1 — n-gram index prefilter vs all-pairs candidate generation;
- *   D3 — similarity metric choice for title matching;
- *   D4 — regex engine step budget on pathological input.
+ *   D3 — similarity metric choice for title matching.
  */
 
 #include "common.hh"
@@ -44,23 +43,6 @@ BM_DedupAllPairs(benchmark::State &state)
 BENCHMARK(BM_DedupAllPairs)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-
-void
-BM_RegexPathological(benchmark::State &state)
-{
-    // D4: the step budget bounds catastrophic backtracking.
-    RegexOptions options;
-    options.stepLimit = 1u << 16;
-    Regex regex = Regex::compileOrDie("(a+)+$", options);
-    std::string subject(48, 'a');
-    subject += 'b';
-    for (auto _ : state) {
-        bool exhausted = false;
-        auto match = regex.search(subject, 0, &exhausted);
-        benchmark::DoNotOptimize(match.has_value());
-    }
-}
-BENCHMARK(BM_RegexPathological)->Unit(benchmark::kMillisecond);
 
 /** D3: pair accuracy when the title metric is swapped. */
 void

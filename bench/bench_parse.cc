@@ -1,14 +1,15 @@
 /**
  * @file
- * Parsing fast-path microbenchmarks: the lazy-DFA linear regex tier
- * against the backtracking VM it screens, and the table-driven
- * tokenizer against its per-character `<cctype>` reference — each
- * with equivalence hashes proving the fast paths change no decision,
- * no span and no token. A dedicated hazard set shows the linear
- * tier's guaranteed-linear bound where the VM hits its step budget.
- * Results land in BENCH_parse.json so successive PRs can diff the
- * trajectory; `--smoke` runs the equivalence checks only (exit 1 on
- * any divergence) for the CI leg.
+ * Parsing microbenchmarks: the regex engine's rule-pattern decisions
+ * (lazy DFA) and leftmost spans (Pike NFA) over corpus prose, a
+ * hazard set of nested-repetition patterns that stays linear, and
+ * the table-driven tokenizer against its per-character `<cctype>`
+ * reference with an equivalence hash proving the fast path changes
+ * no token. The regex hashes are printed for reference; the regex
+ * outputs themselves are pinned by tier-1 (test_regex_pin). Results
+ * land in BENCH_parse.json so successive changes can diff the
+ * trajectory; `--smoke` runs on a small sample and exits 1 when the
+ * tokenizer paths diverge, for the CI leg.
  */
 
 #include "common.hh"
@@ -23,7 +24,6 @@
 
 #include "classify/engine.hh"
 #include "classify/rules.hh"
-#include "obs/metrics.hh"
 #include "text/regex.hh"
 #include "text/tokenize.hh"
 
@@ -75,13 +75,6 @@ wallMs(const std::function<void()> &fn)
         .count();
 }
 
-/** Restore the process regex tier on scope exit. */
-struct TierScope
-{
-    RegexTier saved = regexTier();
-    ~TierScope() { setRegexTier(saved); }
-};
-
 /** Corpus prose (title + body per erratum), the matcher haystacks. */
 const std::vector<std::string> &
 corpusTexts(std::size_t cap)
@@ -121,8 +114,8 @@ rulePatterns()
     return patterns;
 }
 
-/** contains() for every (pattern, text) pair under the active tier,
- * hashing the decisions; per-text scan time feeds the quantile. */
+/** contains() for every (pattern, text) pair, hashing the
+ * decisions; per-text scan time feeds the quantile. */
 std::uint64_t
 decideAll(const std::vector<std::string> &texts,
           QuantileHistogram *perText)
@@ -142,16 +135,14 @@ decideAll(const std::vector<std::string> &texts,
     return hash.state;
 }
 
-/** Leftmost spans for every groupless rule pattern under the active
- * tier (Pike NFA vs backtracking VM), hashing (found, begin, end). */
+/** Leftmost span of every rule pattern in every text, hashing
+ * (found, begin, end). */
 std::uint64_t
 spanAll(const std::vector<std::string> &texts)
 {
     Fnv hash;
     for (const std::string &text : texts) {
         for (const Regex *regex : rulePatterns()) {
-            if (!regex->linearSpanEligible())
-                continue;
             auto match = regex->search(text);
             hash.add(match.has_value() ? 1 : 0);
             if (match) {
@@ -163,31 +154,18 @@ spanAll(const std::vector<std::string> &texts)
     return hash.state;
 }
 
-/** The worst-case set: nested variable repetition the backtracking
- * VM explodes on (budget-capped), all linear for the DFA tier. The
- * empty-loop family ('(?:a*)*b') is deliberately absent — on
- * *matching* subjects its greedy empty iterations also exhaust the
- * VM, so VM-vs-linear decision hashes could not be pinned equal. */
-struct HazardCase
-{
-    const char *pattern;
-    bool anchorsEnd; // '(a+)+$' matches the bare run, not run+'b'
-};
-
-constexpr HazardCase kHazards[] = {
-    {"(?:a+)+b", false},
-    {"(a+)+$", true},
-    {"(?:a|a)+b", false},
-    {"(?:a+){2,}b", false},
+/** The worst-case set: nested variable repetition that a
+ * backtracking matcher explores in exponential time (RBE204's shape),
+ * decided here in time linear in the subject. */
+constexpr const char *kHazards[] = {
+    "(?:a+)+b",  "(a+)+$",      "(?:a*)*b",
+    "(?:a|a)+b", "(?:a+){2,}b", "(\\w+)+b",
 };
 
 struct HazardResult
 {
-    std::uint64_t vmHash = 0;
-    std::uint64_t linearHash = 0;
-    double vmMs = 0.0;
-    double linearMs = 0.0;
-    std::uint64_t budgetEvents = 0;
+    std::uint64_t hash = 0;
+    double ms = 0.0;
 };
 
 HazardResult
@@ -197,52 +175,31 @@ runHazards(int repeats)
     const std::string runB = run + "b";
 
     std::vector<Regex> regexes;
-    for (const HazardCase &hazard : kHazards)
-        regexes.push_back(Regex::compileOrDie(hazard.pattern));
+    for (const char *pattern : kHazards)
+        regexes.push_back(Regex::compileOrDie(pattern));
 
-    Counter &exhausted = MetricsRegistry::global().counter(
-        "text.regex.budget_exhausted");
-    const std::uint64_t exhaustedBefore = exhausted.value();
-
-    HazardResult result;
+    // One subject matches, the other is the exponential blind alley
+    // for a backtracking matcher.
     auto decide = [&](Fnv &hash) {
-        for (std::size_t i = 0; i < regexes.size(); ++i) {
-            // One subject matches, the other is the exponential
-            // blind alley; both tiers must agree on both (the VM's
-            // budget exhaustion reports no-match, same verdict).
-            hash.add(regexes[i].contains(runB) ? 1 : 0);
-            hash.add(regexes[i].contains(run) ? 1 : 0);
+        for (const Regex &regex : regexes) {
+            hash.add(regex.contains(runB) ? 1 : 0);
+            hash.add(regex.contains(run) ? 1 : 0);
         }
     };
 
-    TierScope scope;
-    setRegexTier(RegexTier::Backtracking);
+    HazardResult result;
     {
         Fnv hash;
         decide(hash);
-        result.vmHash = hash.state;
+        result.hash = hash.state;
     }
-    result.vmMs = wallMs([&] {
+    result.ms = wallMs([&] {
         for (int r = 0; r < repeats; ++r) {
             Fnv hash;
             decide(hash);
             benchmark::DoNotOptimize(hash.state);
         }
     });
-    setRegexTier(RegexTier::Linear);
-    {
-        Fnv hash;
-        decide(hash);
-        result.linearHash = hash.state;
-    }
-    result.linearMs = wallMs([&] {
-        for (int r = 0; r < repeats; ++r) {
-            Fnv hash;
-            decide(hash);
-            benchmark::DoNotOptimize(hash.state);
-        }
-    });
-    result.budgetEvents = exhausted.value() - exhaustedBefore;
     return result;
 }
 
@@ -300,119 +257,62 @@ runParse(bool smoke)
         metrics.quantile("parse.tokenize_us");
 
     JsonValue root = JsonValue::makeObject();
-    root["schema"] = JsonValue("rememberr-bench-parse-v1");
+    root["schema"] = JsonValue("rememberr-bench-parse-v2");
     root["smoke"] = JsonValue(smoke ? 1.0 : 0.0);
 
-    TierScope tierScope;
-
-    // ---- rule-pattern decisions: VM vs lazy-DFA tier ---------------
+    // ---- rule-pattern decisions: lazy DFA --------------------------
     {
-        setRegexTier(RegexTier::Linear);
         decideAll(texts, nullptr); // warm the DFA caches
-        const std::uint64_t hashLinear = decideAll(texts, &regexUs);
-        const double linearMs =
-            wallMs([&] { decideAll(texts, nullptr); });
-        setRegexTier(RegexTier::Backtracking);
-        const std::uint64_t hashVm = decideAll(texts, nullptr);
-        const double vmMs =
-            wallMs([&] { decideAll(texts, nullptr); });
-        const double speedup = linearMs > 0.0 ? vmMs / linearMs
-                                              : 0.0;
-        identical = identical && hashVm == hashLinear;
+        const std::uint64_t hash = decideAll(texts, &regexUs);
+        const double ms = wallMs([&] { decideAll(texts, nullptr); });
 
         std::printf("rule decisions: %zu patterns x %zu texts\n",
                     rulePatterns().size(), texts.size());
-        std::printf("  backtracking VM %8.1f ms   hash %s\n", vmMs,
-                    hex(hashVm).c_str());
-        std::printf("  lazy DFA tier   %8.1f ms   hash %s\n",
-                    linearMs, hex(hashLinear).c_str());
-        std::printf("  speedup %.2fx, decisions %s\n", speedup,
-                    hashVm == hashLinear ? "IDENTICAL" : "DIVERGED");
+        std::printf("  lazy DFA        %8.1f ms   hash %s\n", ms,
+                    hex(hash).c_str());
 
         JsonValue decisions = JsonValue::makeObject();
         decisions["patterns"] = JsonValue(
             static_cast<double>(rulePatterns().size()));
         decisions["texts"] =
             JsonValue(static_cast<double>(texts.size()));
-        decisions["vm_ms"] = JsonValue(vmMs);
-        decisions["dfa_ms"] = JsonValue(linearMs);
-        decisions["speedup"] = JsonValue(speedup);
-        decisions["decision_hash_vm"] = JsonValue(hex(hashVm));
-        decisions["decision_hash_dfa"] = JsonValue(hex(hashLinear));
-        decisions["decisions_identical"] =
-            JsonValue(hashVm == hashLinear ? 1.0 : 0.0);
+        decisions["dfa_ms"] = JsonValue(ms);
+        decisions["decision_hash"] = JsonValue(hex(hash));
         root["decisions"] = std::move(decisions);
     }
 
-    // ---- leftmost spans: Pike NFA vs backtracking VM ---------------
+    // ---- leftmost spans: Pike NFA ----------------------------------
     {
-        setRegexTier(RegexTier::Linear);
-        const std::uint64_t hashPike = spanAll(texts);
-        const double pikeMs = wallMs([&] { spanAll(texts); });
-        setRegexTier(RegexTier::Backtracking);
-        const std::uint64_t hashVm = spanAll(texts);
-        const double vmMs = wallMs([&] { spanAll(texts); });
-        identical = identical && hashVm == hashPike;
+        const std::uint64_t hash = spanAll(texts);
+        const double ms = wallMs([&] { spanAll(texts); });
 
-        std::printf("\nleftmost spans (groupless patterns):\n");
-        std::printf("  backtracking VM %8.1f ms   hash %s\n", vmMs,
-                    hex(hashVm).c_str());
-        std::printf("  Pike NFA        %8.1f ms   hash %s\n", pikeMs,
-                    hex(hashPike).c_str());
-        std::printf("  spans %s\n", hashVm == hashPike
-                                        ? "IDENTICAL"
-                                        : "DIVERGED");
+        std::printf("\nleftmost spans (all rule patterns):\n");
+        std::printf("  Pike NFA        %8.1f ms   hash %s\n", ms,
+                    hex(hash).c_str());
 
         JsonValue spans = JsonValue::makeObject();
-        spans["vm_ms"] = JsonValue(vmMs);
-        spans["pike_ms"] = JsonValue(pikeMs);
-        spans["span_hash_vm"] = JsonValue(hex(hashVm));
-        spans["span_hash_pike"] = JsonValue(hex(hashPike));
-        spans["spans_identical"] =
-            JsonValue(hashVm == hashPike ? 1.0 : 0.0);
+        spans["pike_ms"] = JsonValue(ms);
+        spans["span_hash"] = JsonValue(hex(hash));
         root["spans"] = std::move(spans);
     }
 
-    // ---- hazard set: guaranteed-linear where the VM explodes -------
+    // ---- hazard set: nested repetition, still linear ---------------
     {
         const HazardResult hazard = runHazards(hazardRepeats);
-        const double speedup = hazard.linearMs > 0.0
-                                   ? hazard.vmMs / hazard.linearMs
-                                   : 0.0;
-        identical = identical && hazard.vmHash == hazard.linearHash;
 
         std::printf("\nhazard set (%zu nested-repetition patterns, "
                     "%d rounds):\n",
                     std::size(kHazards), hazardRepeats);
-        std::printf("  backtracking VM %8.1f ms   hash %s "
-                    "(%llu budget exhaustions)\n",
-                    hazard.vmMs, hex(hazard.vmHash).c_str(),
-                    static_cast<unsigned long long>(
-                        hazard.budgetEvents));
-        std::printf("  lazy DFA tier   %8.3f ms   hash %s\n",
-                    hazard.linearMs,
-                    hex(hazard.linearHash).c_str());
-        std::printf("  speedup %.1fx, decisions %s\n", speedup,
-                    hazard.vmHash == hazard.linearHash
-                        ? "IDENTICAL"
-                        : "DIVERGED");
+        std::printf("  lazy DFA        %8.3f ms   hash %s\n",
+                    hazard.ms, hex(hazard.hash).c_str());
 
         JsonValue hazardJson = JsonValue::makeObject();
         hazardJson["patterns"] =
             JsonValue(static_cast<double>(std::size(kHazards)));
         hazardJson["rounds"] =
             JsonValue(static_cast<double>(hazardRepeats));
-        hazardJson["vm_ms"] = JsonValue(hazard.vmMs);
-        hazardJson["dfa_ms"] = JsonValue(hazard.linearMs);
-        hazardJson["speedup"] = JsonValue(speedup);
-        hazardJson["decision_hash_vm"] =
-            JsonValue(hex(hazard.vmHash));
-        hazardJson["decision_hash_dfa"] =
-            JsonValue(hex(hazard.linearHash));
-        hazardJson["decisions_identical"] = JsonValue(
-            hazard.vmHash == hazard.linearHash ? 1.0 : 0.0);
-        hazardJson["vm_budget_exhaustions"] = JsonValue(
-            static_cast<double>(hazard.budgetEvents));
+        hazardJson["dfa_ms"] = JsonValue(hazard.ms);
+        hazardJson["decision_hash"] = JsonValue(hex(hazard.hash));
         root["hazards"] = std::move(hazardJson);
     }
 
@@ -463,12 +363,12 @@ runParse(bool smoke)
                 tokenizeUs.quantile(0.5), tokenizeUs.quantile(0.99));
 
     if (!identical) {
-        std::printf("\nFAIL: fast-path output diverged from the "
-                    "reference\n");
+        std::printf("\nFAIL: table-driven tokens diverged from the "
+                    "cctype reference\n");
         return 1;
     }
     if (smoke) {
-        std::printf("\nsmoke OK: all equivalence hashes identical\n");
+        std::printf("\nsmoke OK: tokenizer hashes identical\n");
         return 0;
     }
     std::ofstream out("BENCH_parse.json");

@@ -14,13 +14,9 @@ msrFamily(const std::string &name)
 {
     static const Regex mcPattern =
         Regex::compileOrDie(R"(^MC\d+_(STATUS|ADDR)$)");
-    auto match = mcPattern.search(name);
-    if (match && match->begin == 0 && match->end == name.size()) {
-        return strings::startsWith(name.substr(match->groups[0]
-                                                   ->first),
-                                   "STATUS")
-                   ? "MCx_STATUS"
-                   : "MCx_ADDR";
+    if (mcPattern.fullMatch(name)) {
+        return strings::endsWith(name, "_STATUS") ? "MCx_STATUS"
+                                                  : "MCx_ADDR";
     }
     if (strings::startsWith(name, "IBS_"))
         return "IBS_*";

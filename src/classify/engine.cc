@@ -50,8 +50,7 @@ classifyText(const std::string &body, const std::string &full,
     // then only runs on possible matches. A skipped pattern cannot
     // match, so the first-match-wins loops below take the same
     // branches as without the prefilter. Survivors run through
-    // Regex::contains, i.e. the linear DFA tier by default — the
-    // backtracking VM only executes under --regex-tier=vm.
+    // Regex::contains, the lazy DFA.
     const ClassifyPrefilter *prefilter = nullptr;
     std::vector<std::uint8_t> bodyHits;
     std::vector<std::uint8_t> fullHits;

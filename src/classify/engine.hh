@@ -54,8 +54,9 @@ struct ClassifyStats
 {
     /** Patterns matched because a literal factor occurred. */
     std::uint64_t prefilterHits = 0;
-    /** Patterns the regex engine (linear tier by default, the
-     * backtracking VM under --regex-tier=vm) actually evaluated. */
+    /** Patterns the regex engine actually evaluated (the name, and
+     * the classify.prefilter.vm_runs counter, predate the linear
+     * tier). */
     std::uint64_t vmRuns = 0;
     /** Patterns skipped because a required factor was absent. */
     std::uint64_t skipped = 0;

@@ -54,7 +54,7 @@ struct FourEyesOptions
      */
     std::size_t threads = 1;
     /** Screen rule patterns with the literal prefilter before
-     * running the regex VM (decision-neutral; see engine.hh). */
+     * running the regex engine (decision-neutral; see engine.hh). */
     bool usePrefilter = true;
     /** When set, receives classify.prefilter.{hits,vm_runs,skipped}
      * counters for the engine stage. */

@@ -2,14 +2,14 @@
  * @file
  * Literal prefilter for the classification rule set.
  *
- * Running the backtracking regex VM for every (erratum, pattern)
- * pair dominates classification cost. Almost every rule regex
- * requires some literal phrase to appear in the text
- * (Regex::literalFactors); one Aho–Corasick scan over the erratum
- * therefore decides, for all patterns at once, which ones can
- * possibly match. Only those run the VM. Patterns without an
- * extractable factor always fall through to the VM, so decisions are
- * bit-identical to the unfiltered engine.
+ * Running the regex engine for every (erratum, pattern) pair
+ * dominates classification cost. Almost every rule regex requires
+ * some literal phrase to appear in the text (Regex::literalFactors);
+ * one Aho–Corasick scan over the erratum therefore decides, for all
+ * patterns at once, which ones can possibly match. Only those run
+ * the regex engine. Patterns without an extractable factor always
+ * fall through to it, so decisions are bit-identical to the
+ * unfiltered engine.
  *
  * Accept patterns match against the body text and relevance patterns
  * against the full text (see engine.hh), so the prefilter keeps two
@@ -34,9 +34,9 @@ enum class PrefilterState : std::uint8_t
 {
     /** A required factor is absent: the pattern cannot match. */
     Skip,
-    /** A factor occurred: the pattern may match, run the VM. */
+    /** A factor occurred: the pattern may match, run the regex. */
     FactorHit,
-    /** No factor was extractable: the VM must always run. */
+    /** No factor was extractable: the regex must always run. */
     NoFactors,
 };
 

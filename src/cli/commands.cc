@@ -33,7 +33,6 @@
 #include "snap/format.hh"
 #include "snap/view.hh"
 #include "snap/writer.hh"
-#include "text/regex.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -215,10 +214,6 @@ usageText()
            "records on stderr\n"
            "                              (level, ts_us, thread, "
            "span, msg)\n"
-           "  --regex-tier linear|vm      regex engine: linear-time "
-           "DFA tier\n"
-           "                              (default) or the "
-           "backtracking VM\n"
            "  --verbose | --quiet         raise/silence warn+debug "
            "logging\n";
 }
@@ -1447,27 +1442,6 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         if (!path || path->empty()) {
             err << "--metrics-interval requires --metrics-out "
                    "FILE\n";
-            return 2;
-        }
-    }
-
-    // Regex execution tier: the linear DFA engine is the default;
-    // --regex-tier=vm forces the backtracking VM (the differential
-    // oracle) for A/B runs. Restored on exit for the same reason as
-    // the JSON emitter above.
-    struct RegexTierScope
-    {
-        RegexTier saved = regexTier();
-        ~RegexTierScope() { setRegexTier(saved); }
-    } regexTierScope;
-    if (auto tier = parsed.option("regex-tier")) {
-        if (*tier == "linear") {
-            setRegexTier(RegexTier::Linear);
-        } else if (*tier == "vm") {
-            setRegexTier(RegexTier::Backtracking);
-        } else {
-            err << "--regex-tier must be 'linear' or 'vm', got '"
-                << *tier << "'\n";
             return 2;
         }
     }

@@ -81,12 +81,12 @@ ruleCatalog()
          Severity::Note},
         {"RBE203", "factorless-pattern",
          "a rule pattern yields no literal factors, so every text "
-         "falls through the prefilter to the regex VM",
+         "falls through the prefilter to the regex engine",
          Severity::Note},
         {"RBE204", "backtracking-hazard",
-         "a rule pattern contains nested variable repetition that "
-         "backtracks exponentially on the VM; the finding reports "
-         "whether the linear DFA tier neutralizes it",
+         "a rule pattern contains nested variable repetition, which "
+         "a backtracking matcher explores in exponential time; the "
+         "linear engines here are immune",
          Severity::Warning},
         {"RBE205", "equivalent-patterns",
          "two patterns of one list accept exactly the same texts; "

@@ -195,25 +195,17 @@ checkPatternList(CategoryId category, const char *list,
                 "RBE203", ref,
                 "pattern /" + patterns[i].pattern() +
                     "/ yields no literal factors; every text falls "
-                    "through the prefilter to the regex VM"));
+                    "through the prefilter to the regex engine"));
         }
 
-        // RBE204: nested variable repetition. Since the linear DFA
-        // tier became the default, the hazard only bites paths that
-        // still reach the backtracking VM — report which case this
-        // pattern is in so the finding is actionable.
+        // RBE204: nested variable repetition. The linear engines
+        // are immune; the finding keeps the rule tables fit for a
+        // backtracking matcher.
         if (auto hazard = patterns[i].backtrackingHazard()) {
-            const char *tierNote =
-                patterns[i].linearSpanEligible()
-                    ? " [neutralized: decisions and spans run on "
-                      "the linear DFA tier]"
-                    : " [decisions run on the linear DFA tier, but "
-                      "capture groups keep span extraction on the "
-                      "backtracking VM]";
             out.push_back(patternDiagnostic(
                 "RBE204", ref,
                 "pattern /" + patterns[i].pattern() + "/: " +
-                    *hazard + tierNote));
+                    *hazard));
         }
     }
 }

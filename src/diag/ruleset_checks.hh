@@ -14,8 +14,11 @@
  *   RBE202  a pattern matching no erratum of the calibrated corpus
  *           contributes nothing (measured, not proved);
  *   RBE203  a pattern without literal factors defeats the
- *           Aho-Corasick prefilter — every text reaches the VM;
- *   RBE204  nested variable repetition can backtrack exponentially;
+ *           Aho-Corasick prefilter — every text reaches the regex
+ *           engine;
+ *   RBE204  nested variable repetition, which a backtracking matcher
+ *           explores in exponential time (the linear engines here
+ *           are immune);
  *   RBE205  two patterns of one list accept exactly the same texts;
  *   RBE206  an accept pattern matches texts its category's relevance
  *           list rejects (order-dependent classification), with a

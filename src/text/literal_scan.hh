@@ -5,7 +5,7 @@
  *
  * The classification engine owns dozens of rule regexes, almost all
  * of which are gated on literal phrases ("page boundary", "machine
- * check", ...). Running the backtracking VM for every (rule, erratum)
+ * check", ...). Running the regex engine for every (rule, erratum)
  * pair is the measured hot path; production matchers instead screen
  * with one multi-pattern automaton over the required literal factors
  * of every pattern (see Regex::literalFactors) and only run the full

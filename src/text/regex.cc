@@ -1,11 +1,9 @@
 #include "regex.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <memory>
 
-#include "obs/metrics.hh"
 #include "text/regex_linear.hh"
 #include "util/logging.hh"
 
@@ -14,7 +12,6 @@ namespace rememberr {
 namespace {
 
 using redetail::foldCase;
-using redetail::isWordChar;
 
 /** Parsed pattern AST. */
 struct Node
@@ -26,7 +23,7 @@ struct Node
         Concat,     ///< children in sequence
         Alternate,  ///< children as alternatives
         Repeat,     ///< child repeated [min, max] (max < 0: unbounded)
-        Group,      ///< capturing or non-capturing group
+        Group,      ///< parenthesized subexpression
         Anchor,     ///< ^ $ \b \B
         Empty,      ///< matches the empty string
     };
@@ -40,7 +37,6 @@ struct Node
     int min = 0;
     int max = 0;
     bool lazy = false;
-    int groupIndex = 0;  ///< 0 for non-capturing
     AnchorType anchor = AnchorType::Bol;
 
     std::unique_ptr<Node>
@@ -53,7 +49,6 @@ struct Node
         copy->min = min;
         copy->max = max;
         copy->lazy = lazy;
-        copy->groupIndex = groupIndex;
         copy->anchor = anchor;
         for (const auto &child : children)
             copy->children.push_back(child->clone());
@@ -106,7 +101,6 @@ class RegexCompiler
         regex.pattern_ = std::string(pattern_);
         regex.options_ = options_;
         regex.classes_ = std::move(classes_);
-        regex.groupCount_ = groupCount_;
 
         // Save(0)/Save(1) delimit the whole match.
         emit(regex, {Regex::Op::Save, 0, 0, 0});
@@ -121,7 +115,8 @@ class RegexCompiler
     /**
      * Parse only, for factor analysis. Returns null on any syntax
      * error; the caller falls back to "no factors" (always run the
-     * VM), so analysis can never be less correct than compilation.
+     * matcher), so analysis can never be less correct than
+     * compilation.
      */
     std::unique_ptr<Node>
     parseForAnalysis()
@@ -303,16 +298,14 @@ class RegexCompiler
         char c = take();
         switch (c) {
           case '(': {
-            bool capturing = true;
+            // (...) and (?:...) are the same non-capturing group.
             if (!atEnd() && peek() == '?') {
                 take();
                 if (atEnd() || take() != ':')
                     return fail("only (?: groups are supported");
-                capturing = false;
             }
             auto node = std::make_unique<Node>();
             node->kind = Node::Kind::Group;
-            node->groupIndex = capturing ? ++groupCount_ : 0;
             auto body = parseAlternation();
             if (!body)
                 return nullptr;
@@ -571,19 +564,8 @@ class RegexCompiler
                     return false;
             }
             return true;
-          case Node::Kind::Group: {
-            if (node.groupIndex > 0) {
-                emit(regex,
-                     {Regex::Op::Save, node.groupIndex * 2, 0, 0});
-            }
-            if (!emitNode(regex, *node.children[0]))
-                return false;
-            if (node.groupIndex > 0) {
-                emit(regex,
-                     {Regex::Op::Save, node.groupIndex * 2 + 1, 0, 0});
-            }
-            return true;
-          }
+          case Node::Kind::Group:
+            return emitNode(regex, *node.children[0]);
           case Node::Kind::Alternate: {
             // split b1, (split b2, (... bn))  with jumps to the end.
             std::vector<std::int32_t> jumpSites;
@@ -680,7 +662,6 @@ class RegexCompiler
     std::string_view pattern_;
     RegexOptions options_;
     std::size_t pos_ = 0;
-    int groupCount_ = 0;
     std::vector<Regex::CharClass> classes_;
     std::string error_;
 };
@@ -950,7 +931,7 @@ canMatchNonEmpty(const Node &node)
     return false;
 }
 
-/** A repeat where the VM has a choice of iteration counts. */
+/** A repeat where a matcher has a choice of iteration counts. */
 bool
 isVariableRepeat(const Node &node)
 {
@@ -978,7 +959,7 @@ containsVariableRepeat(const Node &node)
  * that can iterate more than once around an inner variable-count
  * repetition of non-empty text. The same subject substring can then
  * be split across outer iterations in exponentially many ways, and
- * a backtracking VM explores them all on a failing subject.
+ * a backtracking matcher explores them all on a failing subject.
  */
 std::optional<std::string>
 findNestedRepeat(const Node &node)
@@ -992,7 +973,8 @@ findNestedRepeat(const Node &node)
         return "quantifier with " + bound +
                " iterations encloses another variable-count "
                "repetition of non-empty text ('(x+)+' shape); a "
-               "failing subject forces exponential backtracking";
+               "backtracking matcher takes exponential time on a "
+               "failing subject";
     }
     for (const auto &child : node.children) {
         if (auto hit = findNestedRepeat(*child))
@@ -1047,252 +1029,15 @@ Regex::compileOrDie(std::string_view pattern, RegexOptions options)
 }
 
 bool
-Regex::runFrom(std::string_view subject, std::size_t start,
-               RegexMatch &out, bool *exhausted,
-               bool require_full) const
-{
-    struct Frame
-    {
-        std::int32_t pc;
-        std::size_t pos;
-        std::vector<std::int64_t> saves;
-    };
-
-    const std::size_t slotCount =
-        static_cast<std::size_t>(groupCount_ + 1) * 2;
-    std::vector<std::int64_t> saves(slotCount, -1);
-    std::vector<Frame> stack;
-    std::int32_t pc = 0;
-    std::size_t pos = start;
-    std::size_t steps = 0;
-
-    auto backtrack = [&]() -> bool {
-        if (stack.empty())
-            return false;
-        Frame &frame = stack.back();
-        pc = frame.pc;
-        pos = frame.pos;
-        saves = std::move(frame.saves);
-        stack.pop_back();
-        return true;
-    };
-
-    for (;;) {
-        if (++steps > options_.stepLimit) {
-            // Structured, counted event instead of a silent miss:
-            // exhaustion means the VM *gave up*, not that the subject
-            // provably fails to match, so operators need to see it.
-            static Counter &exhaustedCounter =
-                MetricsRegistry::global().counter(
-                    "text.regex.budget_exhausted");
-            exhaustedCounter.add();
-            static std::atomic<bool> warnedOnce{false};
-            if (!warnedOnce.exchange(true,
-                                     std::memory_order_relaxed)) {
-                REMEMBERR_WARN(
-                    "regex VM step budget exhausted for /", pattern_,
-                    "/ (limit ", options_.stepLimit,
-                    "); treating as no-match — further occurrences "
-                    "are counted in text.regex.budget_exhausted");
-            }
-            if (exhausted)
-                *exhausted = true;
-            return false;
-        }
-        const Inst &inst = program_[static_cast<std::size_t>(pc)];
-        bool ok = true;
-        switch (inst.op) {
-          case Op::Char: {
-            if (pos >= subject.size()) {
-                ok = false;
-                break;
-            }
-            char c = subject[pos];
-            if (options_.ignoreCase)
-                c = foldCase(c);
-            if (c != inst.ch) {
-                ok = false;
-                break;
-            }
-            ++pos;
-            ++pc;
-            break;
-          }
-          case Op::Any:
-            if (pos >= subject.size() || subject[pos] == '\n') {
-                ok = false;
-                break;
-            }
-            ++pos;
-            ++pc;
-            break;
-          case Op::Class: {
-            if (pos >= subject.size()) {
-                ok = false;
-                break;
-            }
-            const CharClass &cls =
-                classes_[static_cast<std::size_t>(inst.arg1)];
-            if (!cls.matches(static_cast<unsigned char>(subject[pos]),
-                             options_.ignoreCase)) {
-                ok = false;
-                break;
-            }
-            ++pos;
-            ++pc;
-            break;
-          }
-          case Op::Split:
-            stack.push_back({inst.arg2, pos, saves});
-            pc = inst.arg1;
-            break;
-          case Op::Jump:
-            pc = inst.arg1;
-            break;
-          case Op::Save:
-            saves[static_cast<std::size_t>(inst.arg1)] =
-                static_cast<std::int64_t>(pos);
-            ++pc;
-            break;
-          case Op::Bol:
-            if (pos != 0 && subject[pos - 1] != '\n') {
-                ok = false;
-                break;
-            }
-            ++pc;
-            break;
-          case Op::Eol:
-            if (pos != subject.size() && subject[pos] != '\n') {
-                ok = false;
-                break;
-            }
-            ++pc;
-            break;
-          case Op::WordB:
-          case Op::NotWordB: {
-            bool before = pos > 0 && isWordChar(subject[pos - 1]);
-            bool after =
-                pos < subject.size() && isWordChar(subject[pos]);
-            bool boundary = before != after;
-            bool want = inst.op == Op::WordB;
-            if (boundary != want) {
-                ok = false;
-                break;
-            }
-            ++pc;
-            break;
-          }
-          case Op::Accept: {
-            if (require_full && pos != subject.size()) {
-                // Keep backtracking until a path consumes everything.
-                ok = false;
-                break;
-            }
-            out.begin = static_cast<std::size_t>(saves[0]);
-            out.end = static_cast<std::size_t>(saves[1]);
-            out.groups.clear();
-            for (int g = 1; g <= groupCount_; ++g) {
-                std::int64_t b = saves[static_cast<std::size_t>(g) * 2];
-                std::int64_t e =
-                    saves[static_cast<std::size_t>(g) * 2 + 1];
-                if (b >= 0 && e >= 0) {
-                    out.groups.emplace_back(std::make_pair(
-                        static_cast<std::size_t>(b),
-                        static_cast<std::size_t>(e)));
-                } else {
-                    out.groups.emplace_back(std::nullopt);
-                }
-            }
-            return true;
-          }
-        }
-        if (!ok && !backtrack())
-            return false;
-    }
-}
-
-namespace {
-
-std::atomic<int> g_regexTier{static_cast<int>(RegexTier::Linear)};
-
-} // namespace
-
-void
-setRegexTier(RegexTier tier)
-{
-    g_regexTier.store(static_cast<int>(tier),
-                      std::memory_order_relaxed);
-}
-
-RegexTier
-regexTier()
-{
-    return static_cast<RegexTier>(
-        g_regexTier.load(std::memory_order_relaxed));
-}
-
-// ---- backtracking-VM oracle entry points ---------------------------
-
-bool
-Regex::fullMatchBacktracking(std::string_view subject) const
-{
-    RegexMatch match;
-    return runFrom(subject, 0, match, nullptr, true);
-}
-
-std::optional<RegexMatch>
-Regex::searchBacktracking(std::string_view subject, std::size_t from,
-                          bool *exhausted) const
-{
-    if (exhausted)
-        *exhausted = false;
-    for (std::size_t start = from; start <= subject.size(); ++start) {
-        RegexMatch match;
-        bool budget = false;
-        if (runFrom(subject, start, match, &budget))
-            return match;
-        if (budget) {
-            if (exhausted)
-                *exhausted = true;
-            return std::nullopt;
-        }
-    }
-    return std::nullopt;
-}
-
-bool
-Regex::containsBacktracking(std::string_view subject) const
-{
-    return searchBacktracking(subject).has_value();
-}
-
-// ---- tier-routed public queries ------------------------------------
-
-bool
 Regex::fullMatch(std::string_view subject) const
 {
-    if (regexTier() == RegexTier::Linear)
-        return RegexLinear::fullMatch(*this, subject);
-    return fullMatchBacktracking(subject);
+    return RegexLinear::fullMatch(*this, subject);
 }
 
 std::optional<RegexMatch>
-Regex::search(std::string_view subject, std::size_t from,
-              bool *exhausted) const
+Regex::search(std::string_view subject, std::size_t from) const
 {
-    if (regexTier() == RegexTier::Linear) {
-        if (exhausted)
-            *exhausted = false;
-        if (linearSpanEligible())
-            return RegexLinear::searchSpan(*this, subject, from);
-        // Capture groups keep span extraction on the VM; the DFA
-        // still quick-rejects non-matching subjects in linear time,
-        // which is the common case after prefiltering.
-        if (!RegexLinear::contains(*this, subject, from))
-            return std::nullopt;
-        return searchBacktracking(subject, from, exhausted);
-    }
-    return searchBacktracking(subject, from, exhausted);
+    return RegexLinear::searchSpan(*this, subject, from);
 }
 
 std::vector<RegexMatch>
@@ -1314,9 +1059,7 @@ Regex::findAll(std::string_view subject) const
 bool
 Regex::contains(std::string_view subject) const
 {
-    if (regexTier() == RegexTier::Linear)
-        return RegexLinear::contains(*this, subject);
-    return containsBacktracking(subject);
+    return RegexLinear::contains(*this, subject);
 }
 
 std::string

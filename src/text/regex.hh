@@ -11,25 +11,17 @@
  * Supported syntax:
  *   - literals, '.', escapes \d \D \w \W \s \S plus \n \t \r \\ etc.
  *   - character classes [abc], [a-z0-9], negated [^...]
- *   - groups (...) (capturing) and (?:...) (non-capturing)
+ *   - groups (...) and (?:...), both non-capturing
  *   - alternation a|b
  *   - quantifiers * + ? {m} {m,} {m,n}, each with a lazy '?' variant
  *   - anchors ^ $ and word boundaries \b \B
  *
  * Patterns compile to a small Thompson-style bytecode program (see
- * regex_program.hh) executed by one of two tiers:
- *
- *   - the **linear tier** (default, regex_linear.{hh,cc}): an
- *     incrementally built lazy DFA answers match decisions and a
- *     priority-ordered Pike NFA simulation produces leftmost match
- *     spans, both in guaranteed O(subject) time — exponential
- *     backtracking is structurally impossible;
- *   - the **backtracking VM** (this file): full semantics including
- *     capture-group extraction, guarded by a per-match step budget
- *     that turns pathological backtracking into a counted,
- *     warned-once event (`text.regex.budget_exhausted`). The VM
- *     remains the differential oracle for the linear tier and runs
- *     span extraction for patterns with capture groups.
+ * regex_program.hh) that the linear tier (regex_linear.{hh,cc})
+ * executes: an incrementally built lazy DFA answers match decisions
+ * and a priority-ordered Pike NFA simulation produces leftmost match
+ * spans, both in guaranteed O(subject) time, so exponential
+ * backtracking is structurally impossible.
  */
 
 #ifndef REMEMBERR_TEXT_REGEX_HH
@@ -54,13 +46,6 @@ struct RegexMatch
     std::size_t begin = 0;
     /** Byte offset one past the match end. */
     std::size_t end = 0;
-    /**
-     * Capture-group spans, 1-based group numbering mapped to index
-     * (group 1 is groups[0]); nullopt when the group did not
-     * participate in the match.
-     */
-    std::vector<std::optional<std::pair<std::size_t, std::size_t>>>
-        groups;
 
     std::size_t length() const { return end - begin; }
 
@@ -77,24 +62,7 @@ struct RegexOptions
 {
     /** ASCII case-insensitive matching. */
     bool ignoreCase = false;
-    /** VM step budget per match attempt. */
-    std::size_t stepLimit = 1u << 20;
 };
-
-/**
- * Which engine answers match queries. Linear is the default; the
- * backtracking VM stays selectable as the differential oracle (the
- * benches and `--regex-tier=vm` use it).
- */
-enum class RegexTier : int
-{
-    Linear = 0,
-    Backtracking = 1,
-};
-
-/** Set/read the process-wide match tier. Thread-safe. */
-void setRegexTier(RegexTier tier);
-RegexTier regexTier();
 
 class RegexLinearCache;
 
@@ -118,15 +86,12 @@ class Regex
     bool fullMatch(std::string_view subject) const;
 
     /**
-     * Find the leftmost match at or after position from.
-     * Returns nullopt when there is no match (or, on the
-     * backtracking VM span path, the step budget is exhausted, in
-     * which case exhausted is set when non-null; the linear tier
-     * never exhausts).
+     * Find the leftmost match at or after position from, with
+     * leftmost-first (backtracking-order) preference among matches
+     * that start there. Returns nullopt when there is no match.
      */
     std::optional<RegexMatch> search(std::string_view subject,
-                                     std::size_t from = 0,
-                                     bool *exhausted = nullptr) const;
+                                     std::size_t from = 0) const;
 
     /** All non-overlapping matches, left to right. */
     std::vector<RegexMatch> findAll(std::string_view subject) const;
@@ -134,36 +99,23 @@ class Regex
     /** True when the pattern occurs anywhere in the subject. */
     bool contains(std::string_view subject) const;
 
-    // ---- backtracking-VM oracle entry points -----------------------
-    // Same queries, forced through the backtracking VM regardless of
-    // the process tier. The differential tests and bench_parse
-    // compare these against the linear tier; production code should
-    // call the plain methods above.
-
-    bool fullMatchBacktracking(std::string_view subject) const;
-    std::optional<RegexMatch>
-    searchBacktracking(std::string_view subject, std::size_t from = 0,
-                       bool *exhausted = nullptr) const;
-    bool containsBacktracking(std::string_view subject) const;
-
     /** The original pattern text. */
     const std::string &pattern() const { return pattern_; }
-
-    /** Number of capturing groups. */
-    int groupCount() const { return groupCount_; }
 
     /** Whether the pattern matches ASCII case-insensitively. */
     bool ignoreCase() const { return options_.ignoreCase; }
 
     /**
-     * Whether leftmost span extraction runs on the linear tier.
-     * Capture groups are the one construct the DFA/Pike tier does
-     * not express; patterns carrying them keep span extraction on
-     * the backtracking VM (decisions still run on the DFA). RBE204
-     * uses this to report whether a backtracking hazard is actually
-     * neutralized.
+     * Read-only view of the compiled program, for code that
+     * interprets it outside the matching engines: the automata
+     * analysis (regex_automata.hh) and the test-only backtracking
+     * oracle.
      */
-    bool linearSpanEligible() const { return groupCount_ == 0; }
+    redetail::ProgramView
+    program() const
+    {
+        return {&program_, &classes_, options_.ignoreCase};
+    }
 
     /**
      * Required literal factors: a set of ASCII-lower-cased strings
@@ -183,7 +135,7 @@ class Regex
      * nothing else. nullopt when the language is infinite, too large
      * to enumerate, or the pattern failed to re-parse. Rule-set
      * analysis uses it to decide language containment (shadowing)
-     * without executing the VM.
+     * without running a matcher.
      */
     std::optional<std::vector<std::string>> exactLiterals() const;
 
@@ -193,28 +145,23 @@ class Regex
      * contains another variable-count repetition of non-empty text
      * (the '(x+)+' shape). Returns a description of the first hazard
      * found, nullopt when the pattern is safe. Purely structural —
-     * no timing, no VM execution.
+     * no timing, no matcher runs. The linear tier is immune to the
+     * shape; it only costs time on a backtracking matcher.
      */
     std::optional<std::string> backtrackingHazard() const;
 
   private:
     friend class RegexCompiler;
     friend class RegexLinear;
-    friend struct RegexAutomataAccess;
 
     using Op = redetail::Op;
     using Inst = redetail::Inst;
     using CharClass = redetail::CharClass;
 
-    bool runFrom(std::string_view subject, std::size_t start,
-                 RegexMatch &out, bool *exhausted,
-                 bool require_full = false) const;
-
     std::string pattern_;
     RegexOptions options_;
     std::vector<Inst> program_;
     std::vector<CharClass> classes_;
-    int groupCount_ = 0;
     /** Lazily filled DFA state cache, shared across copies. */
     std::shared_ptr<RegexLinearCache> linear_;
 };

@@ -9,7 +9,6 @@ namespace rememberr {
 
 namespace {
 
-using redetail::CharClass;
 using redetail::Inst;
 using redetail::instConsumes;
 using redetail::isWordChar;
@@ -31,12 +30,7 @@ prevClassOf(unsigned char byte)
 }
 
 /** The slices of a compiled Regex the analysis reads. */
-struct Prog
-{
-    const std::vector<Inst> *insts = nullptr;
-    const std::vector<CharClass> *classes = nullptr;
-    bool ignoreCase = false;
-};
+using Prog = redetail::ProgramView;
 
 /**
  * Epsilon closure at a gap with start injection (the unanchored
@@ -407,39 +401,6 @@ struct Search
 
 } // namespace
 
-// Friend of Regex (declared in regex.hh); the only hole through
-// which the analysis reads the compiled program slices.
-struct RegexAutomataAccess
-{
-    static const std::vector<Inst> &
-    program(const Regex &regex)
-    {
-        return regex.program_;
-    }
-    static const std::vector<CharClass> &
-    classes(const Regex &regex)
-    {
-        return regex.classes_;
-    }
-    static bool
-    ignoreCase(const Regex &regex)
-    {
-        return regex.options_.ignoreCase;
-    }
-};
-
-namespace {
-
-Prog
-progOf(const Regex &regex)
-{
-    return Prog{&RegexAutomataAccess::program(regex),
-                &RegexAutomataAccess::classes(regex),
-                RegexAutomataAccess::ignoreCase(regex)};
-}
-
-} // namespace
-
 AutomataResult
 RegexAutomata::includes(const Regex &inner, const Regex &outer,
                         const AutomataOptions &options)
@@ -454,9 +415,9 @@ RegexAutomata::includedInUnion(const Regex &inner,
 {
     Search search;
     search.stateBudget = options.stateBudget;
-    search.progsA = {progOf(inner)};
+    search.progsA = {inner.program()};
     for (const Regex *regex : outer)
-        search.progsB.push_back(progOf(*regex));
+        search.progsB.push_back(regex->program());
     SearchGoal goal;
     // Refuted by a word in L(A)\L(B); once B has matched, no
     // extension can ever leave L(B) again.
@@ -471,8 +432,8 @@ RegexAutomata::equivalent(const Regex &a, const Regex &b,
 {
     Search search;
     search.stateBudget = options.stateBudget;
-    search.progsA = {progOf(a)};
-    search.progsB = {progOf(b)};
+    search.progsA = {a.program()};
+    search.progsB = {b.program()};
     SearchGoal goal;
     goal.target = [](bool fa, bool fb) { return fa != fb; };
     // Both sticky-accepted: every extension is in both languages.
@@ -486,8 +447,8 @@ RegexAutomata::intersectionEmpty(const Regex &a, const Regex &b,
 {
     Search search;
     search.stateBudget = options.stateBudget;
-    search.progsA = {progOf(a)};
-    search.progsB = {progOf(b)};
+    search.progsA = {a.program()};
+    search.progsB = {b.program()};
     SearchGoal goal;
     goal.target = [](bool fa, bool fb) { return fa && fb; };
     goal.prune = [](bool, bool) { return false; };
@@ -500,7 +461,7 @@ RegexAutomata::shortestAcceptedWord(const Regex &regex,
 {
     Search search;
     search.stateBudget = options.stateBudget;
-    search.progsA = {progOf(regex)};
+    search.progsA = {regex.program()};
     SearchGoal goal;
     // "Refutation" here is simply acceptance: the BFS returns the
     // shortest accepted word as the witness.

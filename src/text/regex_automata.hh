@@ -7,7 +7,7 @@
  * matched by another, are two patterns interchangeable, can any text
  * fire two patterns at once. All three questions are decided here by
  * an on-the-fly product/subset construction over the shared Thompson
- * bytecode (regex_program.hh) — the same programs the matching tiers
+ * bytecode (regex_program.hh) — the same programs the matching engines
  * execute, so the analyzed language and the matched language cannot
  * drift apart.
  *
@@ -98,8 +98,8 @@ struct AutomataResult
 };
 
 /**
- * Static decision procedures over compiled patterns. A friend of
- * Regex (reads the compiled program); stateless itself.
+ * Static decision procedures over compiled patterns. Reads each
+ * compiled program through `Regex::program()`; stateless itself.
  */
 class RegexAutomata
 {

@@ -421,15 +421,16 @@ decideWithCache(const Prog &prog, RegexLinearCache *cache,
 }
 
 /**
- * Pike NFA simulation: leftmost-first span search, identical
- * semantics to the backtracking VM for capture-free patterns.
+ * Pike NFA simulation: leftmost-first span search, the span a
+ * backtracking matcher returns (the test-only backtracking oracle
+ * checks this).
  *
  * Threads carry (pc, start) and live in priority order: earlier
  * start first, then backtracking DFS order (Split arg1 before arg2)
  * within a start. When a thread reaches Accept, every lower-priority
  * thread is cut and the match is recorded; surviving higher-priority
  * threads keep running and overwrite the record if they accept later
- * — exactly the path the backtracking VM would have committed to
+ * — exactly the path a backtracking matcher would have committed to
  * first. New start threads are seeded at each gap only until a match
  * is recorded.
  */

@@ -1,11 +1,12 @@
 /**
  * @file
- * The linear-time regex execution tier: a lazily built DFA for match
- * decisions and a Pike NFA simulation for leftmost match spans.
+ * The linear-time regex execution tier, which answers every `Regex`
+ * query: a lazily built DFA for match decisions and a Pike NFA
+ * simulation for leftmost match spans.
  *
- * Both engines interpret the same Thompson bytecode the backtracking
- * VM runs (regex_program.hh), so the three tiers recognize exactly
- * the same language. The DFA answers `contains`/`fullMatch` booleans
+ * Both engines interpret the same Thompson bytecode
+ * (regex_program.hh), so they recognize exactly the same language.
+ * The DFA answers `contains`/`fullMatch` booleans
  * in O(subject) with O(1) amortized work per byte once its states are
  * cached; the Pike simulation answers leftmost-first span queries in
  * O(subject × program) worst case with no backtracking. Neither can
@@ -106,9 +107,9 @@ class RegexLinear
                           std::string_view subject);
 
     /**
-     * Leftmost match span with backtracking-identical
-     * (leftmost-first) semantics, for capture-free patterns. The
-     * returned match carries no group spans.
+     * Leftmost match span with leftmost-first semantics: among the
+     * matches at the leftmost start, the one a backtracking matcher
+     * would commit to first.
      */
     static std::optional<RegexMatch>
     searchSpan(const Regex &regex, std::string_view subject,

@@ -1,23 +1,25 @@
 /**
  * @file
  * The compiled regex program representation, shared by every
- * execution engine.
+ * interpreter of a compiled pattern.
  *
  * A compiled `Regex` is a Thompson-style bytecode program: Char /
  * Any / Class consume one byte, Split / Jump / Save are epsilon
  * edges, the anchor opcodes are zero-width assertions, and Accept
- * ends a match. Three engines interpret the same program:
+ * ends a match. Groups do not capture, so the only Save slots are 0
+ * and 1, around the whole match. Two engines match with the program,
+ * both in regex_linear.cc:
  *
- *   - the backtracking VM in regex.cc (full semantics including
- *     capture groups; the differential oracle);
- *   - the lazy-DFA decision engine in regex_linear.cc (booleans in
- *     guaranteed linear time);
- *   - the Pike NFA simulation in regex_linear.cc (leftmost match
- *     spans in guaranteed linear time, capture-free patterns).
+ *   - the lazy-DFA decision engine (booleans in guaranteed linear
+ *     time);
+ *   - the Pike NFA simulation (leftmost match spans in guaranteed
+ *     linear time).
  *
- * The types live in `redetail` rather than inside `Regex` so the
- * linear engines can be implemented as free code instead of an
- * ever-growing friend class.
+ * The automata analysis (regex_automata.cc) and the test-only
+ * backtracking oracle read the same program through
+ * `Regex::program()`. The types live in `redetail` rather than inside
+ * `Regex` so those interpreters can be implemented as free code
+ * instead of an ever-growing friend class.
  */
 
 #ifndef REMEMBERR_TEXT_REGEX_PROGRAM_HH
@@ -76,11 +78,18 @@ isWordChar(char c)
     return std::isalnum(u) || c == '_';
 }
 
+/** A read-only view of one compiled program (`Regex::program()`). */
+struct ProgramView
+{
+    const std::vector<Inst> *insts = nullptr;
+    const std::vector<CharClass> *classes = nullptr;
+    bool ignoreCase = false;
+};
+
 /**
  * Whether a consuming instruction (Char/Any/Class) accepts `byte`.
- * Every engine must route byte tests through here so the three
- * interpretations of one program recognize exactly the same
- * language.
+ * Every interpreter must route byte tests through here so all of
+ * them recognize exactly the same language.
  */
 inline bool
 instConsumes(const Inst &inst, const std::vector<CharClass> &classes,

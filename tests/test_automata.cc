@@ -3,7 +3,8 @@
  * Tests for the bounded automata-theoretic decision procedures
  * (text/regex_automata.hh): inclusion, equivalence and intersection
  * emptiness over contains languages, witness validity re-checked
- * through the production matching engines, a differential fuzz
+ * through the linear matching tier and the backtracking oracle, a
+ * differential fuzz
  * against the exact-literal inclusion oracle, and budget semantics.
  */
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "regex_oracle.hh"
 #include "text/regex.hh"
 #include "text/regex_automata.hh"
 #include "text/regex_linear.hh"
@@ -30,7 +32,7 @@ rx(const std::string &pattern, bool ignore_case = false)
     return Regex::compileOrDie(pattern, options);
 }
 
-/** A witness must agree with both production matching tiers. */
+/** A witness must agree with the linear tier and the oracle. */
 void
 expectContains(const Regex &regex, const std::string &text,
                bool expected)
@@ -38,8 +40,8 @@ expectContains(const Regex &regex, const std::string &text,
     EXPECT_EQ(RegexLinear::contains(regex, text), expected)
         << "linear tier, pattern " << regex.pattern() << " text \""
         << escapeWitness(text) << '"';
-    EXPECT_EQ(regex.containsBacktracking(text), expected)
-        << "backtracking vm, pattern " << regex.pattern()
+    EXPECT_EQ(containsBacktracking(regex, text), expected)
+        << "backtracking oracle, pattern " << regex.pattern()
         << " text \"" << escapeWitness(text) << '"';
 }
 

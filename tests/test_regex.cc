@@ -7,6 +7,7 @@
 
 #include <ostream>
 
+#include "regex_oracle.hh"
 #include "text/regex.hh"
 
 namespace rememberr {
@@ -148,31 +149,49 @@ TEST(RegexMatch, Groups)
     auto regex = Regex::compileOrDie("(\\w+)-(\\d+)");
     auto match = regex.search("id AAJ-143 here");
     ASSERT_TRUE(match);
+    EXPECT_EQ(match->begin, 3u);
+    EXPECT_EQ(match->end, 10u);
     EXPECT_EQ(match->text("id AAJ-143 here"), "AAJ-143");
-    ASSERT_EQ(match->groups.size(), 2u);
-    ASSERT_TRUE(match->groups[0]);
-    ASSERT_TRUE(match->groups[1]);
-    EXPECT_EQ(match->groups[0]->first, 3u);
-    EXPECT_EQ(match->groups[0]->second, 6u);
 }
 
 TEST(RegexMatch, NonParticipatingGroup)
 {
+    // The span comes from whichever alternative matched.
     auto regex = Regex::compileOrDie("(a)|(b)");
-    auto match = regex.search("b");
+    auto match = regex.search("xb");
     ASSERT_TRUE(match);
-    EXPECT_FALSE(match->groups[0]);
-    EXPECT_TRUE(match->groups[1]);
+    EXPECT_EQ(match->begin, 1u);
+    EXPECT_EQ(match->end, 2u);
 }
 
 TEST(RegexMatch, NonCapturingGroup)
 {
     auto regex = Regex::compileOrDie("(?:ab)+(c)");
-    EXPECT_EQ(regex.groupCount(), 1);
     auto match = regex.search("ababc");
     ASSERT_TRUE(match);
     EXPECT_EQ(match->begin, 0u);
     EXPECT_EQ(match->end, 5u);
+}
+
+TEST(RegexMatch, GroupsDoNotCapture)
+{
+    // (...) compiles exactly like (?:...): the only Save slots left
+    // are 0 and 1, around the whole match.
+    auto plain = Regex::compileOrDie("(ab)+(c|d)");
+    auto bare = Regex::compileOrDie("(?:ab)+(?:c|d)");
+    ASSERT_EQ(plain.program().insts->size(),
+              bare.program().insts->size());
+    std::size_t saves = 0;
+    for (std::size_t i = 0; i < plain.program().insts->size(); ++i) {
+        const redetail::Inst &a = (*plain.program().insts)[i];
+        const redetail::Inst &b = (*bare.program().insts)[i];
+        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(a.arg1, b.arg1);
+        EXPECT_EQ(a.arg2, b.arg2);
+        if (a.op == redetail::Op::Save)
+            ++saves;
+    }
+    EXPECT_EQ(saves, 2u);
 }
 
 TEST(RegexMatch, GreedyVsLazy)
@@ -199,7 +218,7 @@ TEST(RegexFullMatch, RequiresWholeSubject)
     EXPECT_TRUE(regex.fullMatch("aaab"));
     EXPECT_FALSE(regex.fullMatch("aaabc"));
     EXPECT_FALSE(regex.fullMatch("xaab"));
-    // Backtracking must find the full-length alternative.
+    // The full-length alternative must be found.
     auto tricky = Regex::compileOrDie("(a|ab)c?");
     EXPECT_TRUE(tricky.fullMatch("abc"));
     EXPECT_TRUE(tricky.fullMatch("ab"));
@@ -240,25 +259,22 @@ TEST(RegexCaseInsensitive, FoldsAscii)
 
 TEST(RegexStepLimit, ReportsExhaustion)
 {
-    RegexOptions options;
-    options.stepLimit = 2000;
     // Classic catastrophic backtracking pattern.
-    auto regex = Regex::compileOrDie("(a+)+$", options);
+    auto regex = Regex::compileOrDie("(a+)+$");
     const std::string subject = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaab";
 
     // The backtracking oracle blows its step budget and says so.
     bool exhausted = false;
-    auto vmMatch = regex.searchBacktracking(subject, 0, &exhausted);
+    auto vmMatch = searchBacktracking(regex, subject, 0, &exhausted,
+                                      2000);
     EXPECT_FALSE(vmMatch);
     EXPECT_TRUE(exhausted);
 
-    // The default (linear) tier decides the same subject without
-    // exhausting: the hazard class is structurally neutralized.
-    exhausted = false;
-    auto match = regex.search(subject, 0, &exhausted);
-    EXPECT_FALSE(match);
-    EXPECT_FALSE(exhausted);
+    // The library's linear tier decides the same subject with no
+    // budget at all: the hazard class is structurally neutralized.
+    EXPECT_FALSE(regex.search(subject));
     EXPECT_FALSE(regex.contains(subject));
+    EXPECT_FALSE(regex.fullMatch(subject));
 }
 
 TEST(RegexEscape, EscapesMetacharacters)

@@ -3,7 +3,9 @@
  * Differential property tests for the regex engine: a tiny,
  * obviously-correct exponential reference matcher is compared with
  * the production engine over a generated space of patterns and
- * subjects drawn from a small alphabet.
+ * subjects drawn from a small alphabet, and the linear tier is
+ * compared with the test-only backtracking oracle over the full
+ * dialect.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "classify/engine.hh"
 #include "classify/prefilter.hh"
 #include "classify/rules.hh"
+#include "regex_oracle.hh"
 #include "text/literal_scan.hh"
 #include "text/regex.hh"
 #include "text/regex_linear.hh"
@@ -284,7 +287,7 @@ TEST(LiteralFactors, SoundOverRuleSetPatterns)
 
 /**
  * End-to-end prefilter differential: classifyText with the literal
- * prefilter must produce exactly the decisions of the plain VM
+ * prefilter must produce exactly the decisions of the unfiltered
  * engine on generated corpus-like prose.
  */
 TEST(ClassifyPrefilter, DecisionsIdenticalWithAndWithoutPrefilter)
@@ -333,19 +336,20 @@ TEST(ClassifyPrefilter, DecisionsIdenticalWithAndWithoutPrefilter)
                       expected.autoYes.contains(id));
         }
     }
-    // The prefilter must actually skip VM work on this corpus, and
-    // every skipped pattern is one the VM never needed to run.
+    // The prefilter must actually skip regex work on this corpus,
+    // and every skipped pattern is one the engine never needed to
+    // run.
     EXPECT_GT(stats.skipped, 0u);
     EXPECT_GT(stats.vmRuns, 0u);
 }
 
-// ---- linear tier vs backtracking VM --------------------------------
+// ---- linear tier vs backtracking oracle ----------------------------
 //
-// The lazy-DFA/Pike tier must agree with the backtracking VM on
-// every decision and every leftmost span. The one sanctioned
-// divergence is VM step-budget exhaustion (the VM gives up and
-// reports no-match); those cases are skipped for span comparison and
-// asserted boolean-equal where both report a result.
+// The library's lazy-DFA/Pike tier must agree with the test-only
+// backtracking oracle (regex_oracle.hh) on every decision and every
+// leftmost span, capture-group syntax included. Subjects on which
+// the oracle runs out of its step budget are skipped: it gave up, so
+// there is nothing to compare.
 
 /**
  * Pattern generator exercising the full supported dialect: classes,
@@ -447,9 +451,9 @@ TEST_P(LinearVsBacktracking, DecisionsAndSpansAgree)
 
             bool exhausted = false;
             auto vmMatch =
-                regex.searchBacktracking(subject, 0, &exhausted);
+                searchBacktracking(regex, subject, 0, &exhausted);
             if (exhausted)
-                continue; // the VM gave up; nothing to compare
+                continue; // the oracle gave up; nothing to compare
             auto linMatch = regex.search(subject);
 
             ASSERT_EQ(linMatch.has_value(), vmMatch.has_value())
@@ -460,14 +464,17 @@ TEST_P(LinearVsBacktracking, DecisionsAndSpansAgree)
                 ASSERT_EQ(linMatch->end, vmMatch->end)
                     << "/" << pattern << "/ on '" << subject << "'";
             }
-            ASSERT_EQ(regex.contains(subject),
-                      regex.containsBacktracking(subject))
+            ASSERT_EQ(regex.contains(subject), vmMatch.has_value())
                 << "/" << pattern << "/ contains '" << subject
                 << "'";
-            ASSERT_EQ(regex.fullMatch(subject),
-                      regex.fullMatchBacktracking(subject))
-                << "/" << pattern << "/ fullMatch '" << subject
-                << "'";
+            bool fullExhausted = false;
+            const bool vmFull =
+                fullMatchBacktracking(regex, subject, &fullExhausted);
+            if (!fullExhausted) {
+                ASSERT_EQ(regex.fullMatch(subject), vmFull)
+                    << "/" << pattern << "/ fullMatch '" << subject
+                    << "'";
+            }
         }
     }
 }
@@ -477,9 +484,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LinearVsBacktracking,
 
 /**
  * The RBE204 hazard corpus: patterns whose failing subjects force
- * exponential VM backtracking. The linear tier must decide them
- * instantly and correctly; the VM (with a small budget) exhausts on
- * the failing subjects and agrees on the matching ones.
+ * exponential backtracking. The linear tier must decide them
+ * instantly and correctly; the oracle (with a small budget) exhausts
+ * on the failing subjects and agrees on the matching ones.
  */
 TEST(LinearVsBacktracking, HazardCorpusNeutralized)
 {
@@ -490,14 +497,15 @@ TEST(LinearVsBacktracking, HazardCorpusNeutralized)
     const std::string without(40, 'a');
     const std::string with = without + "b";
 
+    // A small budget keeps the exhausting oracle fast.
+    constexpr std::size_t kBudget = 50000;
     for (const char *patternText : hazards) {
-        RegexOptions options;
-        options.stepLimit = 50000; // keep the exhausting VM fast
-        auto regex = Regex::compileOrDie(patternText, options);
+        auto regex = Regex::compileOrDie(patternText);
 
         // '(a+)+$' matches the bare a-run (it ends at $); the
         // b-terminated patterns match the b-terminated subject. The
-        // other subject is the exponential-failure case for the VM.
+        // other subject is the exponential-failure case for the
+        // oracle.
         const bool anchorPattern =
             std::string(patternText) == "(a+)+$";
         const std::string &matching = anchorPattern ? without : with;
@@ -507,11 +515,11 @@ TEST(LinearVsBacktracking, HazardCorpusNeutralized)
         EXPECT_TRUE(regex.contains(matching)) << patternText;
         EXPECT_FALSE(regex.contains(failing)) << patternText;
 
-        // Span agreement on the matching subject when the VM can
+        // Span agreement on the matching subject when the oracle can
         // still answer there.
         bool exhausted = false;
         auto vmMatch =
-            regex.searchBacktracking(matching, 0, &exhausted);
+            searchBacktracking(regex, matching, 0, &exhausted, kBudget);
         if (!exhausted) {
             auto linMatch = regex.search(matching);
             ASSERT_TRUE(vmMatch.has_value()) << patternText;
@@ -520,11 +528,11 @@ TEST(LinearVsBacktracking, HazardCorpusNeutralized)
             EXPECT_EQ(linMatch->end, vmMatch->end) << patternText;
         }
 
-        // On the failing subject the VM exhausts (that is the
-        // hazard); both tiers still report the same no-match.
+        // On the failing subject the oracle exhausts (that is the
+        // hazard) and reports no match.
         exhausted = false;
         auto gaveUp =
-            regex.searchBacktracking(failing, 0, &exhausted);
+            searchBacktracking(regex, failing, 0, &exhausted, kBudget);
         EXPECT_FALSE(gaveUp.has_value()) << patternText;
         EXPECT_TRUE(exhausted) << patternText;
     }
@@ -548,7 +556,7 @@ TEST(LinearVsBacktracking, DecisionsSurviveCacheFlush)
             std::string subject = randomRichSubject(rng);
             bool exhausted = false;
             auto vmMatch =
-                regex.searchBacktracking(subject, 0, &exhausted);
+                searchBacktracking(regex, subject, 0, &exhausted);
             if (exhausted)
                 continue;
             ASSERT_EQ(regex.contains(subject), vmMatch.has_value())
@@ -577,7 +585,7 @@ TEST(LinearVsBacktracking, SharedRegexScansConcurrently)
     };
     bool expected[6];
     for (int i = 0; i < 6; ++i)
-        expected[i] = regex.containsBacktracking(subjects[i]);
+        expected[i] = containsBacktracking(regex, subjects[i]);
 
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
@@ -597,7 +605,7 @@ TEST(LinearVsBacktracking, SharedRegexScansConcurrently)
 }
 
 /** The automaton screens conservatively: a skipped pattern never
- * matches, checked pattern-by-pattern against the VM. */
+ * matches, checked pattern-by-pattern against the regex engine. */
 TEST(ClassifyPrefilter, SkippedPatternsNeverMatch)
 {
     const ClassifyPrefilter &prefilter =
