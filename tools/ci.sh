@@ -15,10 +15,10 @@
 #      --metrics-interval 50 --log-json, with the JSONL metrics
 #      series and the structured log stream both validated by
 #      tools/jsonl_check;
-#   6. parse fast-path equivalence: `bench_parse --smoke` asserts
-#      the lazy-DFA regex tier and the table-driven tokenizer
-#      reproduce the backtracking VM / cctype reference outputs
-#      hash-for-hash;
+#   6. tokenizer equivalence: `bench_parse --smoke` asserts the
+#      table-driven tokenizer reproduces the cctype reference
+#      hash-for-hash (tier-1's test_regex_pin pins the regex
+#      decisions and spans);
 #   7. serve daemon: start `rememberr serve` on an ephemeral port
 #      against the snapshot from step 4, run `bench_serve --smoke`
 #      (daemon responses must be bit-identical to in-process query
@@ -34,16 +34,18 @@
 #  10. a ThreadSanitizer build running the concurrency-sensitive
 #      tests (parallel executor, observability including the sharded
 #      quantiles and the exporter thread, the literal prefilter
-#      differential, the regex tier differential — whose shared
-#      lazy-DFA cache is built under concurrent scans — the
+#      differential, the regex differential against the test-only
+#      backtracking oracle — whose shared lazy-DFA cache is built
+#      under concurrent scans — the
 #      similarity kernels, which are scanned/scored concurrently
 #      from dedup and foureyes shards, the serve stack, whose
 #      sharded LRU cache and worker pool are hammered by concurrent
 #      clients, and the automata decision procedures);
 #  11. an AddressSanitizer + UndefinedBehaviorSanitizer build
 #      running the whole tier-1 suite under ctest, with UBSan
-#      findings fatal (halt_on_error): the parsers, the regex tiers,
-#      the similarity kernels' window masks, the snapshot reader and
+#      findings fatal (halt_on_error): the parsers, the linear regex
+#      engines and the test-only backtracking oracle, the similarity
+#      kernels' window masks, the snapshot reader and
 #      the query plan's mask walks and buffer appends all run
 #      instrumented.
 #
@@ -116,7 +118,7 @@ step "live observability (--metrics-interval, --log-json)"
 "$root/$build/tools/rememberr_cli" profile \
     --snapshot="$snapdir/t1.snap" > /dev/null
 
-step "parse fast-path equivalence (bench_parse --smoke)"
+step "tokenizer equivalence (bench_parse --smoke)"
 "$root/$build/bench/bench_parse" --smoke
 
 step "serve daemon (equivalence, schema, graceful shutdown)"
