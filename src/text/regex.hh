@@ -106,8 +106,8 @@ class Regex
     bool ignoreCase() const { return options_.ignoreCase; }
 
     /**
-     * Read-only view of the compiled program, for code that
-     * interprets it outside the matching engines: the automata
+     * Read-only view of the compiled program, for every interpreter
+     * of it: the linear engines (regex_linear.hh), the automata
      * analysis (regex_automata.hh) and the test-only backtracking
      * oracle.
      */

@@ -9,7 +9,6 @@ namespace rememberr {
 
 namespace {
 
-using redetail::CharClass;
 using redetail::Inst;
 using redetail::instConsumes;
 using redetail::isWordChar;
@@ -61,12 +60,7 @@ prevClassAt(std::string_view subject, std::size_t gap)
 }
 
 /** The slices of a compiled Regex the engines read. */
-struct Prog
-{
-    const std::vector<Inst> &insts;
-    const std::vector<CharClass> &classes;
-    bool ignoreCase;
-};
+using Prog = redetail::ProgramView;
 
 /**
  * Epsilon closure at a gap. Zero-width assertions are decided from
@@ -87,7 +81,7 @@ struct Closure
     {
         consuming.clear();
         accept = false;
-        visited_.assign(prog.insts.size(), 0);
+        visited_.assign(prog.insts->size(), 0);
         for (std::int32_t pc : kernel)
             add(prog, pc, prev_class, next_byte);
         if (inject_start)
@@ -102,7 +96,7 @@ struct Closure
         if (visited_[static_cast<std::size_t>(pc)])
             return;
         visited_[static_cast<std::size_t>(pc)] = 1;
-        const Inst &inst = prog.insts[static_cast<std::size_t>(pc)];
+        const Inst &inst = (*prog.insts)[static_cast<std::size_t>(pc)];
         switch (inst.op) {
           case Op::Char:
           case Op::Any:
@@ -155,8 +149,8 @@ stepKernel(const Prog &prog, const std::vector<std::int32_t> &consuming,
     std::vector<std::int32_t> next;
     next.reserve(consuming.size());
     for (std::int32_t pc : consuming) {
-        const Inst &inst = prog.insts[static_cast<std::size_t>(pc)];
-        if (instConsumes(inst, prog.classes, prog.ignoreCase, byte))
+        const Inst &inst = (*prog.insts)[static_cast<std::size_t>(pc)];
+        if (instConsumes(inst, *prog.classes, prog.ignoreCase, byte))
             next.push_back(pc + 1);
     }
     std::sort(next.begin(), next.end());
@@ -212,13 +206,13 @@ buildByteClasses(const Prog &prog, RegexLinearCache &cache)
     for (int b = 0; b < 256; ++b) {
         unsigned char byte = static_cast<unsigned char>(b);
         std::vector<std::uint8_t> sig;
-        sig.reserve(prog.insts.size() + 2);
-        for (const Inst &inst : prog.insts) {
+        sig.reserve(prog.insts->size() + 2);
+        for (const Inst &inst : *prog.insts) {
             switch (inst.op) {
               case Op::Char:
               case Op::Any:
               case Op::Class:
-                sig.push_back(instConsumes(inst, prog.classes,
+                sig.push_back(instConsumes(inst, *prog.classes,
                                            prog.ignoreCase, byte)
                                   ? 1
                                   : 0);
@@ -449,7 +443,7 @@ pikeSearch(const Prog &prog, std::string_view subject,
         return std::nullopt;
 
     std::vector<Thread> clist, nlist;
-    std::vector<std::uint32_t> visited(prog.insts.size(), 0);
+    std::vector<std::uint32_t> visited(prog.insts->size(), 0);
     std::uint32_t gen = 0;
 
     bool matched = false;
@@ -466,7 +460,7 @@ pikeSearch(const Prog &prog, std::string_view subject,
         if (visited[static_cast<std::size_t>(pc)] == gen)
             return false;
         visited[static_cast<std::size_t>(pc)] = gen;
-        const Inst &inst = prog.insts[static_cast<std::size_t>(pc)];
+        const Inst &inst = (*prog.insts)[static_cast<std::size_t>(pc)];
         switch (inst.op) {
           case Op::Char:
           case Op::Any:
@@ -542,8 +536,8 @@ pikeSearch(const Prog &prog, std::string_view subject,
         curGap = p + 1;
         for (const Thread &t : clist) {
             const Inst &inst =
-                prog.insts[static_cast<std::size_t>(t.pc)];
-            if (!instConsumes(inst, prog.classes, prog.ignoreCase,
+                (*prog.insts)[static_cast<std::size_t>(t.pc)];
+            if (!instConsumes(inst, *prog.classes, prog.ignoreCase,
                               byte)) {
                 continue;
             }
@@ -569,8 +563,7 @@ bool
 RegexLinear::contains(const Regex &regex, std::string_view subject,
                       std::size_t from)
 {
-    Prog prog{regex.program_, regex.classes_,
-              regex.options_.ignoreCase};
+    const Prog prog = regex.program();
     return decideWithCache(prog, regex.linear_.get(), false, subject,
                            from);
 }
@@ -578,8 +571,7 @@ RegexLinear::contains(const Regex &regex, std::string_view subject,
 bool
 RegexLinear::fullMatch(const Regex &regex, std::string_view subject)
 {
-    Prog prog{regex.program_, regex.classes_,
-              regex.options_.ignoreCase};
+    const Prog prog = regex.program();
     return decideWithCache(prog, regex.linear_.get(), true, subject,
                            0);
 }
@@ -588,8 +580,7 @@ std::optional<RegexMatch>
 RegexLinear::searchSpan(const Regex &regex, std::string_view subject,
                         std::size_t from)
 {
-    Prog prog{regex.program_, regex.classes_,
-              regex.options_.ignoreCase};
+    const Prog prog = regex.program();
     // The DFA decides "no match anywhere" in O(1)/byte; only
     // subjects that do match pay for the span-tracking simulation.
     if (!decideWithCache(prog, regex.linear_.get(), false, subject,

@@ -92,8 +92,10 @@ class RegexLinearCache
 };
 
 /**
- * Static entry points of the linear tier. A friend of Regex so the
- * engines can read the compiled program; stateless itself.
+ * Static entry points of the linear tier. The engines read the
+ * compiled program through `Regex::program()`; the class is a friend
+ * of Regex only to reach its lazily filled DFA cache. Stateless
+ * itself.
  */
 class RegexLinear
 {

@@ -15,8 +15,8 @@
  *   - the Pike NFA simulation (leftmost match spans in guaranteed
  *     linear time).
  *
- * The automata analysis (regex_automata.cc) and the test-only
- * backtracking oracle read the same program through
+ * The engines, the automata analysis (regex_automata.cc) and the
+ * test-only backtracking oracle all read the program through
  * `Regex::program()`. The types live in `redetail` rather than inside
  * `Regex` so those interpreters can be implemented as free code
  * instead of an ever-growing friend class.
@@ -88,8 +88,10 @@ struct ProgramView
 
 /**
  * Whether a consuming instruction (Char/Any/Class) accepts `byte`.
- * Every interpreter must route byte tests through here so all of
- * them recognize exactly the same language.
+ * Every library interpreter routes byte tests through here so all
+ * of them recognize exactly the same language. The test-only oracle
+ * tests Char and Any bytes itself, so the differential tests check
+ * this helper too.
  */
 inline bool
 instConsumes(const Inst &inst, const std::vector<CharClass> &classes,

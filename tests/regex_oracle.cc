@@ -7,8 +7,8 @@ namespace rememberr {
 
 namespace {
 
+using redetail::foldCase;
 using redetail::Inst;
-using redetail::instConsumes;
 using redetail::isWordChar;
 using redetail::Op;
 
@@ -41,12 +41,30 @@ runFrom(const redetail::ProgramView &prog, std::string_view subject,
         const Inst &inst = (*prog.insts)[static_cast<std::size_t>(pc)];
         bool ok = true;
         switch (inst.op) {
+          // Char and Any test the byte here rather than through
+          // redetail::instConsumes, which the linear engines share, so
+          // the differential tests check that helper too.
           case Op::Char:
+            ok = pos < subject.size() &&
+                 (prog.ignoreCase ? foldCase(subject[pos])
+                                  : subject[pos]) == inst.ch;
+            if (ok) {
+                ++pos;
+                ++pc;
+            }
+            break;
           case Op::Any:
+            ok = pos < subject.size() && subject[pos] != '\n';
+            if (ok) {
+                ++pos;
+                ++pc;
+            }
+            break;
           case Op::Class:
             ok = pos < subject.size() &&
-                 instConsumes(inst, *prog.classes, prog.ignoreCase,
-                              static_cast<unsigned char>(subject[pos]));
+                 (*prog.classes)[static_cast<std::size_t>(inst.arg1)]
+                     .matches(static_cast<unsigned char>(subject[pos]),
+                              prog.ignoreCase);
             if (ok) {
                 ++pos;
                 ++pc;

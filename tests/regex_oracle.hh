@@ -2,13 +2,17 @@
  * @file
  * Test-only backtracking oracle for the regex engine.
  *
- * A recursive-descent backtracking VM over the compiled program
- * (`Regex::program()`): Split tries arg1 before arg2 and the first
- * path to reach Accept wins, which is the leftmost-first semantics
- * the Pike NFA reproduces without backtracking. The differential
- * tests compare the library's linear tier against it. It can take
- * exponential time on nested repetition, so every call carries a
- * step budget and reports when it ran out instead of answering.
+ * A backtracking VM over the compiled program (`Regex::program()`)
+ * with an explicit stack of (pc, position) frames: Split tries arg1
+ * before arg2 and the first path to reach Accept wins, which is the
+ * leftmost-first semantics the Pike NFA reproduces without
+ * backtracking. The differential tests compare the library's linear
+ * tier against it. It tests Char and Any bytes itself instead of
+ * through `redetail::instConsumes`, so those tests cover that helper
+ * as well; Class bytes go through `CharClass::matches`, which every
+ * interpreter shares. It can take exponential time on nested
+ * repetition, so every call carries a step budget and reports when
+ * it ran out instead of answering.
  */
 
 #ifndef REMEMBERR_TESTS_REGEX_ORACLE_HH

@@ -348,8 +348,8 @@ TEST(ClassifyPrefilter, DecisionsIdenticalWithAndWithoutPrefilter)
 // The library's lazy-DFA/Pike tier must agree with the test-only
 // backtracking oracle (regex_oracle.hh) on every decision and every
 // leftmost span, capture-group syntax included. Subjects on which
-// the oracle runs out of its step budget are skipped: it gave up, so
-// there is nothing to compare.
+// the oracle's search runs out of its step budget are skipped: it
+// gave up, so there is no span to compare.
 
 /**
  * Pattern generator exercising the full supported dialect: classes,
@@ -467,14 +467,10 @@ TEST_P(LinearVsBacktracking, DecisionsAndSpansAgree)
             ASSERT_EQ(regex.contains(subject), vmMatch.has_value())
                 << "/" << pattern << "/ contains '" << subject
                 << "'";
-            bool fullExhausted = false;
-            const bool vmFull =
-                fullMatchBacktracking(regex, subject, &fullExhausted);
-            if (!fullExhausted) {
-                ASSERT_EQ(regex.fullMatch(subject), vmFull)
-                    << "/" << pattern << "/ fullMatch '" << subject
-                    << "'";
-            }
+            ASSERT_EQ(regex.fullMatch(subject),
+                      fullMatchBacktracking(regex, subject))
+                << "/" << pattern << "/ fullMatch '" << subject
+                << "'";
         }
     }
 }
