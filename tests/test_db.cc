@@ -7,6 +7,7 @@
 
 #include "core/pipeline.hh"
 #include "db/query.hh"
+#include "snap/format.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 
@@ -186,6 +187,28 @@ TEST_F(DatabaseTest, JsonRejectsUnknownEnumNames)
     JsonValue badStatus = db().toJson();
     badStatus["entries"].asArray()[0]["status"] = "WontFix";
     EXPECT_FALSE(Database::fromJson(badStatus));
+}
+
+/**
+ * The JSON and CSV exports of the seed-0 ground-truth database,
+ * pinned byte for byte by their FNV-1a 64 hashes, so a change to
+ * either writer shows here.
+ */
+TEST_F(DatabaseTest, ExportsArePinned)
+{
+    auto hash = [](const std::string &bytes) {
+        // The standard FNV-1a 64 offset basis, so any FNV-1a tool
+        // reproduces these constants.
+        return snap::fnv1a64(
+            reinterpret_cast<const unsigned char *>(bytes.data()),
+            bytes.size(), 0xcbf29ce484222325ULL);
+    };
+    const std::uint64_t json = hash(db().toJson().dump());
+    const std::uint64_t csv = hash(db().toCsv());
+    EXPECT_EQ(json, 0xc323e5b476fca74bULL)
+        << std::hex << "JSON export hash is now 0x" << json;
+    EXPECT_EQ(csv, 0xb26b00bfc886d354ULL)
+        << std::hex << "CSV export hash is now 0x" << csv;
 }
 
 TEST_F(DatabaseTest, CsvExportParsesBack)
