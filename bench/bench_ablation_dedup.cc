@@ -143,10 +143,6 @@ printAblation()
                     metric.name, variantHits, variantPairs.size(),
                     falseHits, unrelated.size());
     }
-
-    std::printf("\nD4: regex step budget — see "
-                "BM_RegexPathological above (bounded instead of "
-                "exponential)\n");
 }
 
 } // namespace

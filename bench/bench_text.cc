@@ -1,11 +1,11 @@
 /**
  * @file
  * Text-matching fast-path microbenchmarks: the Aho–Corasick literal
- * prefilter for classification and the bit-parallel / thresholded
- * similarity kernels for dedup, each timed against the scalar
- * reference it replaced, with equivalence hashes proving the fast
- * paths change no decision. Results land in BENCH_text.json so
- * successive PRs can diff the trajectory.
+ * prefilter for classification and the thresholded composite title
+ * similarity for dedup, each timed against the path it replaced,
+ * with equivalence hashes proving the fast paths change no decision.
+ * Results land in BENCH_text.json so successive changes can diff
+ * the trajectory.
  */
 
 #include "common.hh"
@@ -19,7 +19,6 @@
 
 #include "classify/engine.hh"
 #include "classify/prefilter.hh"
-#include "text/literal_scan.hh"
 #include "text/similarity.hh"
 
 namespace rememberr {
@@ -159,7 +158,7 @@ printText()
 {
     const TextCorpus &corpus = textCorpus();
     JsonValue root = JsonValue::makeObject();
-    root["schema"] = JsonValue("rememberr-bench-text-v1");
+    root["schema"] = JsonValue("rememberr-bench-text-v2");
 
     // ---- classification: prefilter off vs on ----------------------
     {
@@ -183,10 +182,10 @@ printText()
                     hex(hashOn).c_str());
         std::printf("  speedup %.2fx, decisions %s\n", speedup,
                     hashOn == hashOff ? "IDENTICAL" : "DIVERGED");
-        std::printf("  vm runs %llu, skipped %llu, factor hits "
+        std::printf("  regex runs %llu, skipped %llu, factor hits "
                     "%llu (%zu/%zu accept, %zu/%zu relevance "
                     "patterns factored)\n",
-                    static_cast<unsigned long long>(stats.vmRuns),
+                    static_cast<unsigned long long>(stats.regexRuns),
                     static_cast<unsigned long long>(stats.skipped),
                     static_cast<unsigned long long>(
                         stats.prefilterHits),
@@ -205,107 +204,13 @@ printText()
         classify["decision_hash_on"] = JsonValue(hex(hashOn));
         classify["decisions_identical"] =
             JsonValue(hashOn == hashOff ? 1.0 : 0.0);
-        classify["vm_runs"] =
-            JsonValue(static_cast<double>(stats.vmRuns));
+        classify["regex_runs"] =
+            JsonValue(static_cast<double>(stats.regexRuns));
         classify["skipped"] =
             JsonValue(static_cast<double>(stats.skipped));
         classify["prefilter_hits"] =
             JsonValue(static_cast<double>(stats.prefilterHits));
         root["classify"] = std::move(classify);
-    }
-
-    // ---- similarity kernels vs scalar DP ---------------------------
-    {
-        const std::size_t n =
-            std::min<std::size_t>(corpus.titles.size(), 256);
-        std::vector<std::string> canon(n);
-        for (std::size_t i = 0; i < n; ++i)
-            canon[i] = foldForScan(corpus.titles[i]);
-
-        Fnv distanceHash;
-        double scalarMs = wallMs([&] {
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = i + 1; j < n; ++j)
-                    distanceHash.add(levenshteinDistanceScalar(
-                        canon[i], canon[j]));
-        });
-        Fnv bitHash;
-        double bitMs = wallMs([&] {
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = i + 1; j < n; ++j)
-                    bitHash.add(levenshteinDistanceBitParallel(
-                        canon[i], canon[j]));
-        });
-        // Thresholded decision "is the pair within 15% edits",
-        // exactly what a 0.85 similarity floor asks, timed as scalar
-        // distance-and-compare vs the banded thresholded kernel.
-        Fnv scalarDecisionHash;
-        double scalarThrMs = wallMs([&] {
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::size_t j = i + 1; j < n; ++j) {
-                    const std::size_t longest = std::max(
-                        canon[i].size(), canon[j].size());
-                    const std::size_t k = longest -
-                                          longest * 85 / 100;
-                    scalarDecisionHash.add(
-                        levenshteinDistanceScalar(canon[i],
-                                                  canon[j]) <= k);
-                }
-            }
-        });
-        Fnv withinHash;
-        double withinMs = wallMs([&] {
-            for (std::size_t i = 0; i < n; ++i) {
-                for (std::size_t j = i + 1; j < n; ++j) {
-                    const std::size_t longest = std::max(
-                        canon[i].size(), canon[j].size());
-                    const std::size_t k = longest -
-                                          longest * 85 / 100;
-                    withinHash.add(
-                        levenshteinWithin(canon[i], canon[j], k)
-                            .has_value());
-                }
-            }
-        });
-        const std::size_t pairs = n * (n - 1) / 2;
-        const double bitSpeedup = bitMs > 0.0 ? scalarMs / bitMs
-                                              : 0.0;
-        const double withinSpeedup =
-            withinMs > 0.0 ? scalarThrMs / withinMs : 0.0;
-        std::printf("\nlevenshtein over %zu title pairs:\n", pairs);
-        std::printf("  scalar DP       %8.1f ms   hash %s\n",
-                    scalarMs, hex(distanceHash.state).c_str());
-        std::printf("  bit-parallel    %8.1f ms   hash %s "
-                    "(%.2fx)\n",
-                    bitMs, hex(bitHash.state).c_str(), bitSpeedup);
-        std::printf("  thresholded decisions: scalar %8.1f ms, "
-                    "banded kernel %8.1f ms (%.2fx), verdicts %s\n",
-                    scalarThrMs, withinMs, withinSpeedup,
-                    withinHash.state == scalarDecisionHash.state
-                        ? "IDENTICAL"
-                        : "DIVERGED");
-
-        JsonValue similarity = JsonValue::makeObject();
-        similarity["pairs"] =
-            JsonValue(static_cast<double>(pairs));
-        similarity["scalar_dp_ms"] = JsonValue(scalarMs);
-        similarity["bit_parallel_ms"] = JsonValue(bitMs);
-        similarity["bit_parallel_speedup"] = JsonValue(bitSpeedup);
-        similarity["thresholded_scalar_ms"] =
-            JsonValue(scalarThrMs);
-        similarity["thresholded_kernel_ms"] = JsonValue(withinMs);
-        similarity["thresholded_speedup"] =
-            JsonValue(withinSpeedup);
-        similarity["distance_hash_scalar"] =
-            JsonValue(hex(distanceHash.state));
-        similarity["distance_hash_bit_parallel"] =
-            JsonValue(hex(bitHash.state));
-        similarity["distances_identical"] = JsonValue(
-            distanceHash.state == bitHash.state ? 1.0 : 0.0);
-        similarity["verdicts_identical"] = JsonValue(
-            withinHash.state == scalarDecisionHash.state ? 1.0
-                                                         : 0.0);
-        root["similarity"] = std::move(similarity);
     }
 
     // ---- dedup: thresholded composite kernel -----------------------

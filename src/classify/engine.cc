@@ -74,7 +74,7 @@ classifyText(const std::string &body, const std::string &full,
                 if (state == PrefilterState::FactorHit)
                     ++stats.prefilterHits;
             }
-            ++stats.vmRuns;
+            ++stats.regexRuns;
             if (rule.accept[p].contains(body)) {
                 accepted = true;
                 break;
@@ -98,7 +98,7 @@ classifyText(const std::string &body, const std::string &full,
                 if (state == PrefilterState::FactorHit)
                     ++stats.prefilterHits;
             }
-            ++stats.vmRuns;
+            ++stats.regexRuns;
             if (rule.relevance[p].contains(full)) {
                 relevant = true;
                 break;

@@ -54,10 +54,11 @@ struct ClassifyStats
 {
     /** Patterns matched because a literal factor occurred. */
     std::uint64_t prefilterHits = 0;
-    /** Patterns the regex engine actually evaluated (the name, and
-     * the classify.prefilter.vm_runs counter, predate the linear
-     * tier). */
-    std::uint64_t vmRuns = 0;
+    /** Patterns the regex engine actually evaluated. The exported
+     * counter keeps its older name, classify.prefilter.vm_runs,
+     * because perfbench's classify.prefilter_skip_ratio reads it by
+     * that name. */
+    std::uint64_t regexRuns = 0;
     /** Patterns skipped because a required factor was absent. */
     std::uint64_t skipped = 0;
 
@@ -65,7 +66,7 @@ struct ClassifyStats
     operator+=(const ClassifyStats &o)
     {
         prefilterHits += o.prefilterHits;
-        vmRuns += o.vmRuns;
+        regexRuns += o.regexRuns;
         skipped += o.skipped;
         return *this;
     }

@@ -71,8 +71,6 @@ runFourEyes(const Corpus &corpus, const FourEyesOptions &options)
     parallelFor(corpus.bugs.size(), options.threads,
                 [&](std::size_t i) {
                     ClassifyOptions classifyOptions;
-                    classifyOptions.usePrefilter =
-                        options.usePrefilter;
                     classifyOptions.stats = &engineStats[i];
                     engineResults[i] = classifyErratum(
                         representative(corpus.bugs[i]),
@@ -85,7 +83,7 @@ runFourEyes(const Corpus &corpus, const FourEyesOptions &options)
         options.metrics->counter("classify.prefilter.hits")
             .add(total.prefilterHits);
         options.metrics->counter("classify.prefilter.vm_runs")
-            .add(total.vmRuns);
+            .add(total.regexRuns);
         options.metrics->counter("classify.prefilter.skipped")
             .add(total.skipped);
     }

@@ -53,9 +53,6 @@ struct FourEyesOptions
      * bit-identical for every thread count.
      */
     std::size_t threads = 1;
-    /** Screen rule patterns with the literal prefilter before
-     * running the regex engine (decision-neutral; see engine.hh). */
-    bool usePrefilter = true;
     /** When set, receives classify.prefilter.{hits,vm_runs,skipped}
      * counters for the engine stage. */
     MetricsRegistry *metrics = nullptr;

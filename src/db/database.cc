@@ -67,7 +67,6 @@ Database::build(const Corpus &corpus, const DedupResult &dedup,
 {
     Database db;
     db.documents_ = corpus.documents;
-    db.documentCount_ = db.documents_.size();
 
     for (std::size_t key = 0; key < dedup.clusters.size(); ++key) {
         const auto &cluster = dedup.clusters[key];
@@ -121,7 +120,6 @@ Database::buildFromGroundTruth(const Corpus &corpus)
 {
     Database db;
     db.documents_ = corpus.documents;
-    db.documentCount_ = db.documents_.size();
 
     // Group rows per bug key.
     std::map<std::uint32_t, std::vector<std::pair<int, std::string>>>
@@ -184,16 +182,15 @@ Database::restore(std::vector<DbEntry> entries,
     Database db;
     db.entries_ = std::move(entries);
     db.documents_ = std::move(documents);
-    db.documentCount_ = db.documents_.size();
     for (const DbEntry &entry : db.entries_) {
         for (const Occurrence &occurrence : entry.occurrences) {
             if (occurrence.docIndex < 0 ||
                 static_cast<std::size_t>(occurrence.docIndex) >=
-                    db.documentCount_) {
+                    db.documents_.size()) {
                 REMEMBERR_PANIC("Database::restore: entry ",
                                 entry.key, " occurrence points at ",
                                 "document ", occurrence.docIndex,
-                                " of ", db.documentCount_);
+                                " of ", db.documents_.size());
             }
         }
     }
@@ -232,21 +229,6 @@ categorySetToJson(const CategorySet &set)
     for (CategoryId id : set.toVector())
         out.append(taxonomy.categoryById(id).code);
     return out;
-}
-
-Expected<CategorySet>
-categorySetFromJson(const JsonValue &json)
-{
-    const Taxonomy &taxonomy = Taxonomy::instance();
-    CategorySet set;
-    for (const JsonValue &item : json.asArray()) {
-        auto id = taxonomy.parseCategory(item.asString());
-        if (!id)
-            return makeError("unknown category code '" +
-                             item.asString() + "'");
-        set.insert(*id);
-    }
-    return set;
 }
 
 } // namespace
@@ -301,146 +283,9 @@ Database::toJson() const
     root["format"] = "rememberr-db";
     root["version"] = 1;
     root["documentCount"] =
-        JsonValue(static_cast<std::int64_t>(documentCount_));
+        JsonValue(static_cast<std::int64_t>(documents_.size()));
     root["entries"] = std::move(entries);
     return root;
-}
-
-namespace {
-
-Expected<Vendor>
-vendorFromName(const std::string &name)
-{
-    if (name == vendorName(Vendor::Intel))
-        return Vendor::Intel;
-    if (name == vendorName(Vendor::Amd))
-        return Vendor::Amd;
-    return makeError("unknown vendor '" + name + "'");
-}
-
-Expected<WorkaroundClass>
-workaroundClassFromName(const std::string &name)
-{
-    for (int c = 0; c <= 5; ++c) {
-        auto value = static_cast<WorkaroundClass>(c);
-        if (name == workaroundClassName(value))
-            return value;
-    }
-    return makeError("unknown workaround class '" + name + "'");
-}
-
-Expected<FixStatus>
-fixStatusFromName(const std::string &name)
-{
-    for (int s = 0; s <= 2; ++s) {
-        auto value = static_cast<FixStatus>(s);
-        if (name == fixStatusName(value))
-            return value;
-    }
-    return makeError("unknown fix status '" + name + "'");
-}
-
-} // namespace
-
-Expected<Database>
-Database::fromJson(const JsonValue &json)
-{
-    if (!json.isObject() || !json.contains("entries"))
-        return makeError("not a rememberr-db document");
-    Database db;
-    // Older exports predate the documentCount field; for those the
-    // count is inferred from the occurrence indices below so they
-    // still load.
-    bool inferDocumentCount = true;
-    if (json.contains("documentCount")) {
-        std::int64_t count = json.at("documentCount").asInt();
-        if (count < 0)
-            return makeError("negative documentCount");
-        db.documentCount_ = static_cast<std::size_t>(count);
-        inferDocumentCount = false;
-    }
-    for (const JsonValue &item : json.at("entries").asArray()) {
-        DbEntry entry;
-        entry.key = static_cast<std::uint32_t>(item.at("key").asInt());
-        auto vendor = vendorFromName(item.at("vendor").asString());
-        if (!vendor)
-            return vendor.error();
-        entry.vendor = vendor.value();
-        entry.title = item.at("title").asString();
-        entry.description = item.at("description").asString();
-        entry.implications = item.at("implications").asString();
-        entry.workaroundText = item.at("workaround").asString();
-
-        auto workaroundClass = workaroundClassFromName(
-            item.at("workaroundClass").asString());
-        if (!workaroundClass)
-            return workaroundClass.error();
-        entry.workaroundClass = workaroundClass.value();
-        auto status = fixStatusFromName(item.at("status").asString());
-        if (!status)
-            return status.error();
-        entry.status = status.value();
-
-        auto triggers = categorySetFromJson(item.at("triggers"));
-        if (!triggers)
-            return triggers.error();
-        entry.triggers = triggers.value();
-        auto contexts = categorySetFromJson(item.at("contexts"));
-        if (!contexts)
-            return contexts.error();
-        entry.contexts = contexts.value();
-        auto effects = categorySetFromJson(item.at("effects"));
-        if (!effects)
-            return effects.error();
-        entry.effects = effects.value();
-
-        entry.complexConditions =
-            item.at("complexConditions").asBool();
-        entry.simulationOnly = item.at("simulationOnly").asBool();
-        if (item.contains("rootCause"))
-            entry.rootCause = item.at("rootCause").asString();
-
-        for (const JsonValue &ref : item.at("msrs").asArray()) {
-            MsrRef msr;
-            msr.name = ref.at("name").asString();
-            msr.number =
-                static_cast<std::uint32_t>(ref.at("number").asInt());
-            entry.msrs.push_back(std::move(msr));
-        }
-        for (const JsonValue &ref :
-             item.at("occurrences").asArray()) {
-            Occurrence occurrence;
-            occurrence.docIndex =
-                static_cast<int>(ref.at("doc").asInt());
-            if (occurrence.docIndex < 0)
-                return makeError(
-                    "entry " + std::to_string(entry.key) +
-                    ": negative occurrence document index");
-            if (inferDocumentCount) {
-                db.documentCount_ = std::max(
-                    db.documentCount_,
-                    static_cast<std::size_t>(occurrence.docIndex) +
-                        1);
-            } else if (static_cast<std::size_t>(
-                           occurrence.docIndex) >=
-                       db.documentCount_) {
-                return makeError(
-                    "entry " + std::to_string(entry.key) +
-                    ": occurrence points at document " +
-                    std::to_string(occurrence.docIndex) +
-                    " but the export only had " +
-                    std::to_string(db.documentCount_));
-            }
-            occurrence.localId = ref.at("id").asString();
-            auto date = Date::parse(ref.at("disclosed").asString());
-            if (!date)
-                return date.error();
-            occurrence.disclosed = date.value();
-            entry.occurrences.push_back(std::move(occurrence));
-        }
-        db.entries_.push_back(std::move(entry));
-    }
-    return db;
 }
 
 std::string

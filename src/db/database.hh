@@ -20,7 +20,6 @@
 #include "dedup/dedup.hh"
 #include "model/erratum.hh"
 #include "taxonomy/taxonomy.hh"
-#include "util/expected.hh"
 #include "util/json.hh"
 
 namespace rememberr {
@@ -102,28 +101,14 @@ class Database
         return documents_;
     }
 
-    /**
-     * Number of documents the entries' occurrence indices refer to.
-     * Equals documents().size() for built/restored databases; for a
-     * database read back from JSON (which does not carry the raw
-     * documents) it preserves the count of the exporting database so
-     * occurrence indices stay checkable.
-     */
-    std::size_t documentCount() const { return documentCount_; }
+    /** Number of documents the entries' occurrence indices refer to. */
+    std::size_t documentCount() const { return documents_.size(); }
 
     std::size_t uniqueCount(Vendor vendor) const;
     std::size_t rowCount(Vendor vendor) const;
 
     /** Serialize the entries (not the raw documents). */
     JsonValue toJson() const;
-
-    /**
-     * Restore entries from JSON. The raw documents are not part of
-     * the JSON export, so documents() stays empty, but the exported
-     * documentCount is restored and every occurrence docIndex is
-     * validated against it.
-     */
-    static Expected<Database> fromJson(const JsonValue &json);
 
     /** Export entries as CSV (one row per unique erratum). */
     std::string toCsv() const;
@@ -133,7 +118,6 @@ class Database
   private:
     std::vector<DbEntry> entries_;
     std::vector<ErrataDocument> documents_;
-    std::size_t documentCount_ = 0;
 };
 
 /** Detect the "complex set of conditions" phrasing (Section V-B). */

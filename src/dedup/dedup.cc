@@ -15,6 +15,19 @@ namespace rememberr {
 
 namespace {
 
+/**
+ * Similarity above which a pair is surfaced for review. Titles
+ * identical after canonicalization merge without review (the
+ * paper's step 1); every other candidate pair is reviewed in
+ * decreasing similarity order (step 2) — near-identical titles
+ * are never merged blindly, since similar phrasing can describe
+ * distinct bugs (e.g. "overflow" vs "underflow").
+ */
+constexpr double kReviewThreshold = 0.85;
+
+/** Minimum n-gram overlap for index candidates. */
+constexpr double kNgramMinOverlap = 0.30;
+
 /** Flattened view of all rows with precomputed canonical titles. */
 struct RowView
 {
@@ -160,7 +173,7 @@ deduplicate(const std::vector<ErrataDocument> &documents,
                 for (std::size_t i = begin; i < end; ++i) {
                     auto hits = index.query(
                         rows[reps[i]].erratum->title, scratch,
-                        options.ngramMinOverlap,
+                        kNgramMinOverlap,
                         static_cast<std::int64_t>(i));
                     for (const NgramCandidate &hit : hits) {
                         if (hit.docId <= i)
@@ -168,7 +181,7 @@ deduplicate(const std::vector<ErrataDocument> &documents,
                         ++shard.pairsConsidered;
                         auto sim = titleSimilarityAtLeast(
                             profiles[i], profiles[hit.docId],
-                            options.reviewThreshold, &shard.stats);
+                            kReviewThreshold, &shard.stats);
                         if (sim) {
                             shard.candidates.push_back(
                                 Candidate{i, hit.docId, *sim});
@@ -190,7 +203,7 @@ deduplicate(const std::vector<ErrataDocument> &documents,
                         ++shard.pairsConsidered;
                         auto sim = titleSimilarityAtLeast(
                             profiles[i], profiles[j],
-                            options.reviewThreshold, &shard.stats);
+                            kReviewThreshold, &shard.stats);
                         if (sim) {
                             shard.candidates.push_back(
                                 Candidate{i, j, *sim});

@@ -40,20 +40,9 @@ struct ErratumRef
 /** Tuning knobs for the Intel title pipeline. */
 struct DedupOptions
 {
-    /**
-     * Similarity above which a pair is surfaced for review. Titles
-     * identical after canonicalization merge without review (the
-     * paper's step 1); every other candidate pair is reviewed in
-     * decreasing similarity order (step 2) — near-identical titles
-     * are never merged blindly, since similar phrasing can describe
-     * distinct bugs (e.g. "overflow" vs "underflow").
-     */
-    double reviewThreshold = 0.85;
     /** Use the n-gram index for candidate generation instead of the
      * quadratic all-pairs scan (DESIGN.md D1). */
     bool useNgramIndex = true;
-    /** Minimum n-gram overlap for index candidates. */
-    double ngramMinOverlap = 0.30;
     /**
      * Worker threads for candidate generation + similarity scoring
      * (0 = all hardware threads, 1 = serial). Results are

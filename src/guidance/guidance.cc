@@ -204,6 +204,7 @@ generateSeedCorpus(const Database &db,
             static_cast<double>(freq.total()));
     }
 
+    // Sequence lengths 1 to 4, one weight each: 4 is the longest.
     const std::vector<double> lengthWeights{0.45, 0.35, 0.15,
                                             0.05};
     std::set<std::vector<CategoryId>> seen;
@@ -215,9 +216,8 @@ generateSeedCorpus(const Database &db,
 
     while (corpus.sequences.size() < options.sequenceCount &&
            ++attempts <= maxAttempts) {
-        std::size_t length =
+        const std::size_t length =
             1 + rng.nextWeighted(lengthWeights);
-        length = std::min(length, options.maxSequenceLength);
 
         StimulusSequence sequence;
         std::set<CategoryId> used;

@@ -96,7 +96,6 @@ struct StimulusSequence
 struct SeedCorpusOptions
 {
     std::size_t sequenceCount = 64;
-    std::size_t maxSequenceLength = 4;
     std::uint64_t seed = 0x5eedc0de;
 };
 

@@ -39,8 +39,7 @@ void
 MetricsExporter::snapshotLocked()
 {
     auto begin = std::chrono::steady_clock::now();
-    if (options_.sampleProc)
-        publishProcGauges(*options_.metrics, sampleProc());
+    publishProcGauges(*options_.metrics, sampleProc());
 
     JsonValue line = options_.metrics->toJson();
     line["seq"] = JsonValue(static_cast<double>(seq_));

@@ -47,8 +47,6 @@ struct ExporterOptions
     std::chrono::milliseconds interval{1000};
     /** Registry to snapshot (required, must outlive the exporter). */
     MetricsRegistry *metrics = nullptr;
-    /** Sample obs/proc resource gauges before each snapshot. */
-    bool sampleProc = true;
 };
 
 class MetricsExporter

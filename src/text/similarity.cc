@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <map>
 #include <set>
 
 #include "tokenize.hh"
@@ -12,7 +10,7 @@
 namespace rememberr {
 
 std::size_t
-levenshteinDistanceScalar(std::string_view a, std::string_view b)
+levenshteinDistance(std::string_view a, std::string_view b)
 {
     if (a.size() < b.size())
         std::swap(a, b);
@@ -34,203 +32,6 @@ levenshteinDistanceScalar(std::string_view a, std::string_view b)
         }
     }
     return row[b.size()];
-}
-
-namespace {
-
-/**
- * Advance one 64-row block of the Myers/Hyyrö bit-vector DP by one
- * text column. Pv/Mv are the vertical positive/negative delta
- * vectors, eq the pattern-match bits for the text character, hin the
- * horizontal delta entering the block's low row (-1, 0 or +1). The
- * returned horizontal delta is read at houtMask's row — bit 63 when
- * feeding the next block, the pattern's last-row bit for the final
- * block (rows above it carry pad characters that never match; they
- * sit above the last row in the DP, so they cannot influence it).
- */
-inline int
-advanceBlock(std::uint64_t &pv, std::uint64_t &mv, std::uint64_t eq,
-             int hin, std::uint64_t hout_mask)
-{
-    const std::uint64_t hinNeg = hin < 0 ? 1u : 0u;
-    const std::uint64_t xv = eq | mv;
-    eq |= hinNeg;
-    const std::uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    std::uint64_t ph = mv | ~(xh | pv);
-    std::uint64_t mh = pv & xh;
-    int hout = 0;
-    if (ph & hout_mask)
-        hout = 1;
-    else if (mh & hout_mask)
-        hout = -1;
-    ph <<= 1;
-    mh <<= 1;
-    mh |= hinNeg;
-    if (hin > 0)
-        ph |= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
-    return hout;
-}
-
-} // namespace
-
-std::size_t
-levenshteinDistanceBitParallel(std::string_view a, std::string_view b)
-{
-    // The shorter string becomes the pattern: fewer 64-bit blocks.
-    if (a.size() > b.size())
-        std::swap(a, b);
-    const std::size_t m = a.size();
-    if (m == 0)
-        return b.size();
-
-    const std::size_t blocks = (m + 63) / 64;
-    std::vector<std::uint64_t> peq(blocks * 256, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        peq[static_cast<unsigned char>(a[i]) * blocks + i / 64] |=
-            std::uint64_t{1} << (i % 64);
-    }
-
-    std::vector<std::uint64_t> pv(blocks, ~std::uint64_t{0});
-    std::vector<std::uint64_t> mv(blocks, 0);
-    const std::uint64_t lastMask = std::uint64_t{1}
-                                   << ((m - 1) % 64);
-    const std::uint64_t topMask = std::uint64_t{1} << 63;
-    std::ptrdiff_t score = static_cast<std::ptrdiff_t>(m);
-    for (char c : b) {
-        const std::uint64_t *eqRow =
-            &peq[static_cast<unsigned char>(c) * blocks];
-        int h = 1; // boundary row D[0][j] = j increments by one
-        for (std::size_t blk = 0; blk < blocks; ++blk) {
-            const bool last = blk + 1 == blocks;
-            h = advanceBlock(pv[blk], mv[blk], eqRow[blk], h,
-                             last ? lastMask : topMask);
-        }
-        score += h;
-    }
-    return static_cast<std::size_t>(score);
-}
-
-std::size_t
-levenshteinDistance(std::string_view a, std::string_view b)
-{
-    return levenshteinDistanceBitParallel(a, b);
-}
-
-std::optional<std::size_t>
-levenshteinWithin(std::string_view a, std::string_view b,
-                  std::size_t k)
-{
-    if (a.size() < b.size())
-        std::swap(a, b);
-    const std::size_t n = a.size(); // rows (longer)
-    const std::size_t m = b.size(); // columns (shorter)
-    if (n - m > k)
-        return std::nullopt;
-    if (m == 0)
-        return n <= k ? std::optional<std::size_t>(n)
-                      : std::nullopt;
-    if (k >= n) {
-        // Threshold can never bind; the unbanded kernel is cheaper
-        // than a full-width band.
-        std::size_t d = levenshteinDistanceBitParallel(a, b);
-        return d <= k ? std::optional<std::size_t>(d)
-                      : std::nullopt;
-    }
-
-    // Character-count lower bound: a substitution fixes at most two
-    // histogram mismatches, an insert/delete at most one.
-    {
-        std::array<std::int32_t, 256> diff{};
-        for (char c : a)
-            ++diff[static_cast<unsigned char>(c)];
-        for (char c : b)
-            --diff[static_cast<unsigned char>(c)];
-        std::size_t mismatch = 0;
-        for (std::int32_t d : diff) {
-            mismatch += static_cast<std::size_t>(d < 0 ? -d : d);
-        }
-        if ((mismatch + 1) / 2 > k)
-            return std::nullopt;
-    }
-
-    // Banded rolling-row DP: only cells with |i - j| <= k can stay
-    // at or below k (D[i][j] >= |i - j|); everything else saturates
-    // at BIG. Cells <= k are exact, BIG means "> k".
-    const std::size_t BIG = k + 1;
-    std::vector<std::size_t> row(m + 1);
-    for (std::size_t j = 0; j <= m; ++j)
-        row[j] = j <= k ? j : BIG;
-    for (std::size_t i = 1; i <= n; ++i) {
-        const std::size_t lo = i > k ? i - k : 1;
-        const std::size_t hi = std::min(m, i + k);
-        std::size_t diag = row[lo - 1]; // D[i-1][lo-1]
-        std::size_t left = BIG;        // D[i][lo-1], outside band
-        if (lo == 1) {
-            row[0] = i <= k ? i : BIG;
-            left = row[0];
-        }
-        std::size_t rowMin = left;
-        for (std::size_t j = lo; j <= hi; ++j) {
-            // Above the band's top-right edge the stored value is
-            // stale; the true cell is > k there.
-            const std::size_t up = j == i + k ? BIG : row[j];
-            std::size_t value = std::min({
-                up + 1,
-                left + 1,
-                diag + (a[i - 1] == b[j - 1] ? 0 : 1),
-            });
-            if (value > BIG)
-                value = BIG;
-            diag = row[j];
-            row[j] = value;
-            left = value;
-            rowMin = std::min(rowMin, value);
-        }
-        if (rowMin >= BIG)
-            return std::nullopt; // every continuation exceeds k
-    }
-    return row[m] <= k ? std::optional<std::size_t>(row[m])
-                       : std::nullopt;
-}
-
-std::size_t
-damerauDistance(std::string_view a, std::string_view b)
-{
-    const std::size_t n = a.size(), m = b.size();
-    if (n == 0)
-        return m;
-    if (m == 0)
-        return n;
-    // Three rolling rows (the transposition case reads two rows
-    // back), O(min(n,m)) memory instead of a full matrix.
-    std::string_view x = a, y = b;
-    if (x.size() < y.size())
-        std::swap(x, y);
-    const std::size_t rows = x.size(), cols = y.size();
-    std::vector<std::size_t> prev2(cols + 1), prev(cols + 1),
-        curr(cols + 1);
-    for (std::size_t j = 0; j <= cols; ++j)
-        prev[j] = j;
-    for (std::size_t i = 1; i <= rows; ++i) {
-        curr[0] = i;
-        for (std::size_t j = 1; j <= cols; ++j) {
-            std::size_t cost = x[i - 1] == y[j - 1] ? 0 : 1;
-            curr[j] = std::min({
-                prev[j] + 1,
-                curr[j - 1] + 1,
-                prev[j - 1] + cost,
-            });
-            if (i > 1 && j > 1 && x[i - 1] == y[j - 2] &&
-                x[i - 2] == y[j - 1]) {
-                curr[j] = std::min(curr[j], prev2[j - 2] + 1);
-            }
-        }
-        std::swap(prev2, prev);
-        std::swap(prev, curr);
-    }
-    return prev[cols];
 }
 
 double
@@ -407,50 +208,6 @@ tokenJaccardSimilarity(const std::vector<std::string> &a,
 }
 
 double
-tokenDiceSimilarity(const std::vector<std::string> &a,
-                    const std::vector<std::string> &b)
-{
-    if (a.empty() && b.empty())
-        return 1.0;
-    std::set<std::string> setA(a.begin(), a.end());
-    std::set<std::string> setB(b.begin(), b.end());
-    if (setA.empty() && setB.empty())
-        return 1.0;
-    std::size_t inter = 0;
-    for (const auto &token : setA)
-        inter += setB.count(token);
-    return 2.0 * static_cast<double>(inter) /
-           static_cast<double>(setA.size() + setB.size());
-}
-
-double
-tokenCosineSimilarity(const std::vector<std::string> &a,
-                      const std::vector<std::string> &b)
-{
-    if (a.empty() && b.empty())
-        return 1.0;
-    if (a.empty() || b.empty())
-        return 0.0;
-    std::map<std::string, double> tfA, tfB;
-    for (const auto &token : a)
-        tfA[token] += 1.0;
-    for (const auto &token : b)
-        tfB[token] += 1.0;
-    double dot = 0.0;
-    for (const auto &[token, freq] : tfA) {
-        auto it = tfB.find(token);
-        if (it != tfB.end())
-            dot += freq * it->second;
-    }
-    double normA = 0.0, normB = 0.0;
-    for (const auto &[token, freq] : tfA)
-        normA += freq * freq;
-    for (const auto &[token, freq] : tfB)
-        normB += freq * freq;
-    return dot / (std::sqrt(normA) * std::sqrt(normB));
-}
-
-double
 titleSimilarity(std::string_view a, std::string_view b)
 {
     std::string ca = strings::canonicalize(a);
@@ -462,36 +219,6 @@ titleSimilarity(std::string_view a, std::string_view b)
         tokenJaccardSimilarity(tokenizeWords(a, opt),
                                tokenizeWords(b, opt));
     return std::max(jw, jac);
-}
-
-std::optional<double>
-levenshteinSimilarityAtLeast(std::string_view a, std::string_view b,
-                             double min_similarity)
-{
-    const std::size_t longest = std::max(a.size(), b.size());
-    if (longest == 0) {
-        return 1.0 >= min_similarity ? std::optional<double>(1.0)
-                                     : std::nullopt;
-    }
-    // sim >= minSim requires d <= longest * (1 - minSim) in real
-    // arithmetic; one extra unit of slack absorbs rounding so the
-    // final decision is always made on the exact similarity double.
-    const double bound =
-        static_cast<double>(longest) * (1.0 - min_similarity);
-    std::size_t k = longest;
-    if (bound < static_cast<double>(longest)) {
-        const double floored = std::floor(std::max(bound, 0.0));
-        k = std::min(longest,
-                     static_cast<std::size_t>(floored) + 1);
-    }
-    const auto d = levenshteinWithin(a, b, k);
-    if (!d)
-        return std::nullopt;
-    const double sim = 1.0 - static_cast<double>(*d) /
-                                 static_cast<double>(longest);
-    if (sim >= min_similarity)
-        return sim;
-    return std::nullopt;
 }
 
 SimilarityKernelStats &

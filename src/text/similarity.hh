@@ -21,44 +21,10 @@
 namespace rememberr {
 
 /**
- * Levenshtein edit distance (insert/delete/substitute, unit cost).
- * Dispatches to the bit-parallel kernel; identical results to the
- * scalar reference for every input.
+ * Levenshtein edit distance (insert/delete/substitute, unit cost),
+ * by the rolling-row DP in O(min(n,m)) memory.
  */
 std::size_t levenshteinDistance(std::string_view a, std::string_view b);
-
-/**
- * Scalar rolling-row reference implementation, O(min(n,m)) memory.
- * Kept public so differential tests (and the kernel benchmarks) can
- * pin the bit-parallel kernels against an obviously-correct baseline.
- */
-std::size_t levenshteinDistanceScalar(std::string_view a,
-                                      std::string_view b);
-
-/**
- * Myers' bit-vector Levenshtein kernel (64-bit blocks, multi-block
- * for longer strings). Exact: equals the scalar reference for every
- * input, at roughly one column update per 64 pattern characters.
- */
-std::size_t levenshteinDistanceBitParallel(std::string_view a,
-                                           std::string_view b);
-
-/**
- * Thresholded distance: the exact distance when it is <= k, nullopt
- * otherwise. Pre-rejects on length difference and a character-count
- * lower bound, then runs a banded O(k * min(n,m)) DP that exits as
- * soon as every cell of a row exceeds k. Equivalent to computing
- * levenshteinDistance and comparing against k, only cheaper.
- */
-std::optional<std::size_t> levenshteinWithin(std::string_view a,
-                                             std::string_view b,
-                                             std::size_t k);
-
-/**
- * Damerau-Levenshtein distance (adds adjacent transposition), the
- * restricted "optimal string alignment" variant.
- */
-std::size_t damerauDistance(std::string_view a, std::string_view b);
 
 /** Levenshtein similarity normalized to [0, 1]; 1 means equal. */
 double levenshteinSimilarity(std::string_view a, std::string_view b);
@@ -80,30 +46,12 @@ double jaroWinklerSimilarity(std::string_view a, std::string_view b);
 double tokenJaccardSimilarity(const std::vector<std::string> &a,
                               const std::vector<std::string> &b);
 
-/** Dice coefficient over token sets, in [0, 1]. */
-double tokenDiceSimilarity(const std::vector<std::string> &a,
-                           const std::vector<std::string> &b);
-
-/** Cosine similarity of term-frequency vectors, in [0, 1]. */
-double tokenCosineSimilarity(const std::vector<std::string> &a,
-                             const std::vector<std::string> &b);
-
 /**
  * The composite title similarity used by the dedup pipeline: the
  * maximum of Jaro-Winkler over canonicalized text and token Jaccard,
  * which is robust to both small edits and word reorderings.
  */
 double titleSimilarity(std::string_view a, std::string_view b);
-
-/**
- * Levenshtein similarity thresholded at minSimilarity: the exact
- * levenshteinSimilarity when it is >= minSimilarity, nullopt when
- * the thresholded kernel proves it below. Bit-identical to computing
- * the full similarity and comparing.
- */
-std::optional<double>
-levenshteinSimilarityAtLeast(std::string_view a, std::string_view b,
-                             double min_similarity);
 
 /**
  * Per-byte position bitmasks of a string s, the Jaro kernel's view

@@ -70,87 +70,4 @@ CsvWriter::toString() const
     return out;
 }
 
-Expected<CsvDocument>
-parseCsv(const std::string &text, bool hasHeader)
-{
-    CsvDocument doc;
-    std::vector<std::string> record;
-    std::string field;
-    bool inQuotes = false;
-    bool fieldStarted = false;
-    int line = 1;
-
-    auto endField = [&]() {
-        record.push_back(field);
-        field.clear();
-        fieldStarted = false;
-    };
-    auto endRecord = [&]() {
-        endField();
-        // Skip blank records (e.g. trailing newline).
-        if (record.size() == 1 && record[0].empty()) {
-            record.clear();
-            return;
-        }
-        if (hasHeader && doc.header.empty())
-            doc.header = std::move(record);
-        else
-            doc.rows.push_back(std::move(record));
-        record.clear();
-    };
-
-    std::size_t i = 0;
-    while (i < text.size()) {
-        char c = text[i];
-        if (inQuotes) {
-            if (c == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
-                    field += '"';
-                    i += 2;
-                    continue;
-                }
-                inQuotes = false;
-                ++i;
-                continue;
-            }
-            if (c == '\n')
-                ++line;
-            field += c;
-            ++i;
-            continue;
-        }
-        switch (c) {
-          case '"':
-            if (fieldStarted && !field.empty())
-                return makeError("quote inside unquoted field", line);
-            inQuotes = true;
-            fieldStarted = true;
-            ++i;
-            break;
-          case ',':
-            endField();
-            ++i;
-            break;
-          case '\r':
-            ++i;
-            break;
-          case '\n':
-            endRecord();
-            ++line;
-            ++i;
-            break;
-          default:
-            field += c;
-            fieldStarted = true;
-            ++i;
-            break;
-        }
-    }
-    if (inQuotes)
-        return makeError("unterminated quoted field", line);
-    if (fieldStarted || !field.empty() || !record.empty())
-        endRecord();
-    return doc;
-}
-
 } // namespace rememberr

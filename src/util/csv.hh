@@ -1,9 +1,7 @@
 /**
  * @file
- * RFC-4180-style CSV writing and reading.
- *
- * The bench harness exports every reproduced table and figure as CSV so
- * downstream plotting scripts can consume them.
+ * RFC-4180-style CSV writing. The library only writes CSV (the
+ * database and metrics exports); nothing reads it back.
  */
 
 #ifndef REMEMBERR_UTIL_CSV_HH
@@ -11,8 +9,6 @@
 
 #include <string>
 #include <vector>
-
-#include "expected.hh"
 
 namespace rememberr {
 
@@ -35,22 +31,6 @@ class CsvWriter
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };
-
-/** Parsed CSV document: first row is the header when hasHeader. */
-struct CsvDocument
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
-};
-
-/**
- * Parse CSV text with quoted-field support.
- *
- * @param text the document.
- * @param hasHeader when true, the first record populates header.
- */
-Expected<CsvDocument> parseCsv(const std::string &text,
-                               bool hasHeader = true);
 
 /** Quote a single field if it contains separators, quotes or newlines. */
 std::string csvQuote(const std::string &field);

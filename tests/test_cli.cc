@@ -16,7 +16,6 @@
 #include "core/pipeline.hh"
 #include "diag/diagnostic.hh"
 #include "document/format.hh"
-#include "util/csv.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -558,12 +557,11 @@ TEST_F(CliObsFileTest, ProfileWritesCsvMetricsByExtension)
     std::string path = (dir_ / "metrics.csv").string();
     CliResult result = run({"profile", "--metrics-out", path});
     EXPECT_EQ(result.code, 0);
-    auto parsed = parseCsv(slurp(path));
-    ASSERT_TRUE(parsed);
-    EXPECT_EQ(parsed.value().header,
-              (std::vector<std::string>{"kind", "name", "field",
-                                        "value"}));
-    EXPECT_FALSE(parsed.value().rows.empty());
+    const std::string csv = slurp(path);
+    const std::string header = "kind,name,field,value\n";
+    EXPECT_EQ(csv.substr(0, header.size()), header);
+    // A data line follows the header.
+    EXPECT_NE(csv.find('\n', header.size()), std::string::npos);
 }
 
 TEST_F(CliObsFileTest, StatsAcceptsMetricsAndTraceOut)

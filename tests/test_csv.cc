@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for CSV reading and writing.
+ * Unit tests for CSV writing.
  */
 
 #include <gtest/gtest.h>
@@ -39,63 +39,6 @@ TEST(CsvWriter, NoHeader)
     EXPECT_EQ(writer.toString(), "a,b\n");
 }
 
-TEST(CsvParse, SimpleDocument)
-{
-    auto doc = parseCsv("a,b\n1,2\n3,4\n");
-    ASSERT_TRUE(doc);
-    EXPECT_EQ(doc.value().header,
-              (std::vector<std::string>{"a", "b"}));
-    ASSERT_EQ(doc.value().rows.size(), 2u);
-    EXPECT_EQ(doc.value().rows[1],
-              (std::vector<std::string>{"3", "4"}));
-}
-
-TEST(CsvParse, QuotedFields)
-{
-    auto doc = parseCsv("h\n\"a,b\"\n\"say \"\"hi\"\"\"\n");
-    ASSERT_TRUE(doc);
-    EXPECT_EQ(doc.value().rows[0][0], "a,b");
-    EXPECT_EQ(doc.value().rows[1][0], "say \"hi\"");
-}
-
-TEST(CsvParse, EmbeddedNewline)
-{
-    auto doc = parseCsv("h\n\"two\nlines\",x\n");
-    ASSERT_TRUE(doc);
-    ASSERT_EQ(doc.value().rows.size(), 1u);
-    EXPECT_EQ(doc.value().rows[0][0], "two\nlines");
-    EXPECT_EQ(doc.value().rows[0][1], "x");
-}
-
-TEST(CsvParse, CrLfLineEndings)
-{
-    auto doc = parseCsv("a,b\r\n1,2\r\n");
-    ASSERT_TRUE(doc);
-    EXPECT_EQ(doc.value().rows[0],
-              (std::vector<std::string>{"1", "2"}));
-}
-
-TEST(CsvParse, NoHeaderMode)
-{
-    auto doc = parseCsv("1,2\n3,4\n", false);
-    ASSERT_TRUE(doc);
-    EXPECT_TRUE(doc.value().header.empty());
-    EXPECT_EQ(doc.value().rows.size(), 2u);
-}
-
-TEST(CsvParse, MissingTrailingNewline)
-{
-    auto doc = parseCsv("a,b\n1,2");
-    ASSERT_TRUE(doc);
-    ASSERT_EQ(doc.value().rows.size(), 1u);
-    EXPECT_EQ(doc.value().rows[0][1], "2");
-}
-
-TEST(CsvParse, RejectsUnterminatedQuote)
-{
-    EXPECT_FALSE(parseCsv("a\n\"unterminated\n"));
-}
-
 TEST(CsvRoundTrip, WriterThenParser)
 {
     CsvWriter writer;
@@ -103,12 +46,14 @@ TEST(CsvRoundTrip, WriterThenParser)
     writer.addRow({"1", "has, comma"});
     writer.addRow({"2", "has \"quotes\""});
     writer.addRow({"3", "multi\nline"});
-    auto doc = parseCsv(writer.toString());
-    ASSERT_TRUE(doc);
-    ASSERT_EQ(doc.value().rows.size(), 3u);
-    EXPECT_EQ(doc.value().rows[0][1], "has, comma");
-    EXPECT_EQ(doc.value().rows[1][1], "has \"quotes\"");
-    EXPECT_EQ(doc.value().rows[2][1], "multi\nline");
+    // A field with a comma, a quote or a newline is quoted whole and
+    // its quotes doubled, so a reader splits records only at the
+    // unquoted newlines.
+    EXPECT_EQ(writer.toString(),
+              "key,text\n"
+              "1,\"has, comma\"\n"
+              "2,\"has \"\"quotes\"\"\"\n"
+              "3,\"multi\nline\"\n");
 }
 
 } // namespace

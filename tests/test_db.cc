@@ -8,7 +8,6 @@
 #include "core/pipeline.hh"
 #include "db/query.hh"
 #include "snap/format.hh"
-#include "util/csv.hh"
 #include "util/logging.hh"
 
 namespace rememberr {
@@ -72,121 +71,32 @@ TEST_F(DatabaseTest, PipelineDatabaseAgreesWithGroundTruthCounts)
     EXPECT_EQ(pipeline.uniqueCount(Vendor::Amd), 385u);
 }
 
-TEST_F(DatabaseTest, JsonRoundTrip)
-{
-    JsonValue json = db().toJson();
-    auto restored = Database::fromJson(json);
-    ASSERT_TRUE(restored) << restored.error().toString();
-    const Database &copy = restored.value();
-    ASSERT_EQ(copy.entries().size(), db().entries().size());
-    for (std::size_t i = 0; i < copy.entries().size(); ++i) {
-        const DbEntry &a = db().entries()[i];
-        const DbEntry &b = copy.entries()[i];
-        ASSERT_EQ(a.key, b.key);
-        ASSERT_EQ(a.vendor, b.vendor);
-        ASSERT_EQ(a.title, b.title);
-        ASSERT_EQ(a.description, b.description);
-        ASSERT_EQ(a.workaroundClass, b.workaroundClass);
-        ASSERT_EQ(a.status, b.status);
-        ASSERT_EQ(a.triggers, b.triggers);
-        ASSERT_EQ(a.contexts, b.contexts);
-        ASSERT_EQ(a.effects, b.effects);
-        ASSERT_EQ(a.msrs, b.msrs);
-        ASSERT_EQ(a.complexConditions, b.complexConditions);
-        ASSERT_EQ(a.simulationOnly, b.simulationOnly);
-        ASSERT_EQ(a.occurrences.size(), b.occurrences.size());
-        for (std::size_t j = 0; j < a.occurrences.size(); ++j) {
-            ASSERT_EQ(a.occurrences[j].docIndex,
-                      b.occurrences[j].docIndex);
-            ASSERT_EQ(a.occurrences[j].localId,
-                      b.occurrences[j].localId);
-            ASSERT_EQ(a.occurrences[j].disclosed,
-                      b.occurrences[j].disclosed);
-        }
-    }
-}
-
 TEST(DatabaseRootCause, SurvivesJsonRoundTrip)
 {
-    // Build a tiny database by hand, annotate a root cause and
-    // round-trip it (Section VII's internally-maintained-database
-    // scenario).
+    // An internally maintained database (Section VII) fills in the
+    // root cause that vendor errata leave out: the JSON export
+    // carries it and the proposed format renders it in its slot.
     setLogQuiet(true);
-    Corpus corpus = generateDefaultCorpus();
-    Database db = Database::buildFromGroundTruth(corpus);
-    JsonValue json = db.toJson();
-    // Inject a root cause into the first serialized entry.
-    json["entries"].asArray()[0]["rootCause"] =
-        "Race between the op-cache fill FSM and the fetch "
-        "redirect path.";
-    auto restored = Database::fromJson(json);
-    ASSERT_TRUE(restored);
-    EXPECT_EQ(restored.value().entries()[0].rootCause,
-              "Race between the op-cache fill FSM and the fetch "
-              "redirect path.");
-    EXPECT_TRUE(restored.value().entries()[1].rootCause.empty());
+    const std::string note = "Race between the op-cache fill FSM and "
+                             "the fetch redirect path.";
+    Database built =
+        Database::buildFromGroundTruth(generateDefaultCorpus());
+    std::vector<DbEntry> entries = built.entries();
+    entries[0].rootCause = note;
+    Database db =
+        Database::restore(std::move(entries), built.documents());
 
-    // The proposed format renders the note in the root-cause slot.
-    std::string rendered =
-        renderProposedFormat(restored.value().entries()[0]);
+    JsonValue json = db.toJson();
+    const JsonValue::Array &items = json.at("entries").asArray();
+    EXPECT_EQ(items[0].at("rootCause").asString(), note);
+    EXPECT_FALSE(items[1].contains("rootCause"));
+
+    std::string rendered = renderProposedFormat(db.entries()[0]);
     EXPECT_NE(rendered.find("op-cache fill FSM"),
               std::string::npos);
-    std::string placeholder =
-        renderProposedFormat(restored.value().entries()[1]);
+    std::string placeholder = renderProposedFormat(db.entries()[1]);
     EXPECT_NE(placeholder.find("(not published by the vendor)"),
               std::string::npos);
-}
-
-TEST_F(DatabaseTest, JsonRejectsWrongShape)
-{
-    EXPECT_FALSE(Database::fromJson(JsonValue(3)));
-    EXPECT_FALSE(Database::fromJson(JsonValue::makeObject()));
-}
-
-TEST_F(DatabaseTest, JsonPreservesDocumentCount)
-{
-    auto restored = Database::fromJson(db().toJson());
-    ASSERT_TRUE(restored);
-    // The raw documents are not part of the JSON export, but the
-    // count survives so occurrence indices stay checkable.
-    EXPECT_TRUE(restored.value().documents().empty());
-    EXPECT_EQ(restored.value().documentCount(),
-              db().documentCount());
-}
-
-TEST_F(DatabaseTest, JsonRejectsOutOfRangeDocIndex)
-{
-    // An export claiming fewer documents than its occurrences
-    // reference used to restore silently with dangling indices.
-    JsonValue json = db().toJson();
-    json["documentCount"] = JsonValue(std::int64_t{1});
-    auto restored = Database::fromJson(json);
-    ASSERT_FALSE(restored);
-    EXPECT_NE(restored.error().toString().find("document"),
-              std::string::npos);
-
-    JsonValue negative = db().toJson();
-    negative["entries"].asArray()[0]["occurrences"].asArray()[0]
-        ["doc"] = JsonValue(std::int64_t{-1});
-    EXPECT_FALSE(Database::fromJson(negative));
-}
-
-TEST_F(DatabaseTest, JsonRejectsUnknownEnumNames)
-{
-    JsonValue badVendor = db().toJson();
-    badVendor["entries"].asArray()[0]["vendor"] = "VIA";
-    auto vendor = Database::fromJson(badVendor);
-    ASSERT_FALSE(vendor);
-    EXPECT_NE(vendor.error().toString().find("vendor"),
-              std::string::npos);
-
-    JsonValue badClass = db().toJson();
-    badClass["entries"].asArray()[0]["workaroundClass"] = "Prayer";
-    EXPECT_FALSE(Database::fromJson(badClass));
-
-    JsonValue badStatus = db().toJson();
-    badStatus["entries"].asArray()[0]["status"] = "WontFix";
-    EXPECT_FALSE(Database::fromJson(badStatus));
 }
 
 /**
@@ -213,11 +123,20 @@ TEST_F(DatabaseTest, ExportsArePinned)
 
 TEST_F(DatabaseTest, CsvExportParsesBack)
 {
-    std::string csv = db().toCsv();
-    auto parsed = parseCsv(csv);
-    ASSERT_TRUE(parsed);
-    EXPECT_EQ(parsed.value().rows.size(), db().entries().size());
-    EXPECT_EQ(parsed.value().header.front(), "key");
+    // A header record, then one record per entry. Records end at the
+    // newlines outside quoted fields; a doubled quote toggles twice.
+    const std::string csv = db().toCsv();
+    EXPECT_EQ(csv.rfind("key,vendor,title,", 0), 0u);
+    std::size_t records = 0;
+    bool quoted = false;
+    for (char c : csv) {
+        if (c == '"')
+            quoted = !quoted;
+        else if (c == '\n' && !quoted)
+            ++records;
+    }
+    EXPECT_FALSE(quoted);
+    EXPECT_EQ(records, db().entries().size() + 1);
 }
 
 TEST(MentionsDetectors, MatchGeneratedPhrasings)

@@ -9,7 +9,6 @@
 
 #include "corpus/generator.hh"
 #include "document/format.hh"
-#include "util/csv.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -114,25 +113,6 @@ TEST_P(JsonParserFuzz, NeverCrashesOnMutatedJson)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonParserFuzz,
                          ::testing::Range(0, 6));
-
-TEST(CsvParserFuzz, NeverCrashesOnMutatedCsv)
-{
-    static const std::string pristine =
-        "key,title,codes\n"
-        "1,\"has, comma\",\"a;b\"\n"
-        "2,\"has \"\"quotes\"\"\",c\n"
-        "3,plain,multi\n";
-    Rng rng(42);
-    for (int round = 0; round < 500; ++round) {
-        std::string mutated =
-            mutate(pristine, rng, 1 + static_cast<int>(
-                                          rng.nextBelow(5)));
-        auto result = parseCsv(mutated);
-        if (!result) {
-            ASSERT_FALSE(result.error().message.empty());
-        }
-    }
-}
 
 } // namespace
 } // namespace rememberr

@@ -1,8 +1,8 @@
 /**
  * @file
- * Differential tests for the bit-parallel and thresholded similarity
- * kernels: every fast path must agree exactly — bit-identically for
- * doubles — with the scalar reference implementations.
+ * Differential tests for the bit-parallel Jaro kernel and the
+ * thresholded title similarity: every fast path must agree exactly —
+ * bit-identically for doubles — with its scalar reference.
  */
 
 #include <gtest/gtest.h>
@@ -18,184 +18,6 @@
 
 namespace rememberr {
 namespace {
-
-std::string
-randomString(Rng &rng, std::size_t maxLength,
-             std::size_t alphabet)
-{
-    std::string out;
-    const std::size_t length = rng.nextBelow(maxLength + 1);
-    for (std::size_t i = 0; i < length; ++i) {
-        out += static_cast<char>('a' + rng.nextBelow(alphabet));
-    }
-    return out;
-}
-
-/** Full-matrix OSA Damerau distance, the obviously-correct shape the
- * rolling-row production version replaced. */
-std::size_t
-damerauReference(const std::string &a, const std::string &b)
-{
-    const std::size_t n = a.size(), m = b.size();
-    std::vector<std::vector<std::size_t>> d(
-        n + 1, std::vector<std::size_t>(m + 1));
-    for (std::size_t i = 0; i <= n; ++i)
-        d[i][0] = i;
-    for (std::size_t j = 0; j <= m; ++j)
-        d[0][j] = j;
-    for (std::size_t i = 1; i <= n; ++i) {
-        for (std::size_t j = 1; j <= m; ++j) {
-            std::size_t cost = a[i - 1] == b[j - 1] ? 0 : 1;
-            d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
-                                d[i - 1][j - 1] + cost});
-            if (i > 1 && j > 1 && a[i - 1] == b[j - 2] &&
-                a[i - 2] == b[j - 1]) {
-                d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
-            }
-        }
-    }
-    return d[n][m];
-}
-
-TEST(BitParallelLevenshtein, HandCases)
-{
-    EXPECT_EQ(levenshteinDistanceBitParallel("", ""), 0u);
-    EXPECT_EQ(levenshteinDistanceBitParallel("", "abc"), 3u);
-    EXPECT_EQ(levenshteinDistanceBitParallel("abc", ""), 3u);
-    EXPECT_EQ(levenshteinDistanceBitParallel("kitten", "sitting"),
-              3u);
-    EXPECT_EQ(levenshteinDistanceBitParallel("flaw", "lawn"), 2u);
-    EXPECT_EQ(levenshteinDistanceBitParallel("abc", "abc"), 0u);
-}
-
-TEST(BitParallelLevenshtein, MultiBlockBoundaries)
-{
-    // Lengths straddling the 64-bit block boundary exercise the
-    // last-block hout mask and inter-block carries.
-    for (std::size_t len :
-         {std::size_t{63}, std::size_t{64}, std::size_t{65},
-          std::size_t{127}, std::size_t{128}, std::size_t{129},
-          std::size_t{200}}) {
-        std::string a(len, 'a');
-        std::string b = a;
-        b[len / 2] = 'b';
-        EXPECT_EQ(levenshteinDistanceBitParallel(a, b), 1u)
-            << "len " << len;
-        EXPECT_EQ(levenshteinDistanceBitParallel(a, a + "xy"), 2u)
-            << "len " << len;
-        EXPECT_EQ(levenshteinDistanceBitParallel(a, std::string()),
-                  len);
-    }
-}
-
-TEST(BitParallelLevenshtein, MatchesScalarOnRandomStrings)
-{
-    Rng rng(0xB17B17ULL);
-    for (int round = 0; round < 400; ++round) {
-        // Mix short strings (edge cases) with multi-block ones.
-        const std::size_t maxLength = round % 4 == 0 ? 300 : 24;
-        const std::size_t alphabet = 2 + rng.nextBelow(20);
-        std::string a = randomString(rng, maxLength, alphabet);
-        std::string b = randomString(rng, maxLength, alphabet);
-        ASSERT_EQ(levenshteinDistanceBitParallel(a, b),
-                  levenshteinDistanceScalar(a, b))
-            << "'" << a << "' vs '" << b << "'";
-    }
-}
-
-TEST(LevenshteinWithin, AgreesWithScalarAtEveryThreshold)
-{
-    Rng rng(0x7435D01DULL);
-    for (int round = 0; round < 200; ++round) {
-        std::string a = randomString(rng, 20, 3);
-        std::string b = randomString(rng, 20, 3);
-        const std::size_t d = levenshteinDistanceScalar(a, b);
-        const std::size_t maxK = std::max(a.size(), b.size()) + 2;
-        for (std::size_t k = 0; k <= maxK; ++k) {
-            auto within = levenshteinWithin(a, b, k);
-            if (d <= k) {
-                ASSERT_TRUE(within.has_value())
-                    << "'" << a << "' vs '" << b << "' k=" << k;
-                ASSERT_EQ(*within, d)
-                    << "'" << a << "' vs '" << b << "' k=" << k;
-            } else {
-                ASSERT_FALSE(within.has_value())
-                    << "'" << a << "' vs '" << b << "' k=" << k;
-            }
-        }
-    }
-}
-
-TEST(LevenshteinWithin, LongStringsAroundThresholdBoundary)
-{
-    Rng rng(0xBADBADULL);
-    for (int round = 0; round < 40; ++round) {
-        std::string a = randomString(rng, 180, 4);
-        std::string b = a;
-        // Apply a known number of random edits; the true distance is
-        // at most `edits`, so checking k = distance and distance - 1
-        // hits the accept/reject boundary exactly.
-        const std::size_t edits = 1 + rng.nextBelow(8);
-        for (std::size_t e = 0; e < edits && !b.empty(); ++e) {
-            const std::size_t pos = rng.nextBelow(b.size());
-            switch (rng.nextBelow(3)) {
-              case 0:
-                b[pos] = static_cast<char>('a' + rng.nextBelow(4));
-                break;
-              case 1: b.erase(pos, 1); break;
-              default:
-                b.insert(pos, 1,
-                         static_cast<char>('a' + rng.nextBelow(4)));
-                break;
-            }
-        }
-        const std::size_t d = levenshteinDistanceScalar(a, b);
-        auto at = levenshteinWithin(a, b, d);
-        ASSERT_TRUE(at.has_value());
-        EXPECT_EQ(*at, d);
-        if (d > 0) {
-            EXPECT_FALSE(levenshteinWithin(a, b, d - 1).has_value());
-        }
-    }
-}
-
-TEST(DamerauDistance, MatchesFullMatrixReference)
-{
-    EXPECT_EQ(damerauDistance("ca", "abc"), 3u); // OSA, not full DL
-    EXPECT_EQ(damerauDistance("abcd", "acbd"), 1u);
-    Rng rng(0xDA3E4A0ULL);
-    for (int round = 0; round < 300; ++round) {
-        std::string a = randomString(rng, 14, 3);
-        std::string b = randomString(rng, 14, 3);
-        ASSERT_EQ(damerauDistance(a, b), damerauReference(a, b))
-            << "'" << a << "' vs '" << b << "'";
-    }
-}
-
-TEST(LevenshteinSimilarityAtLeast, AgreesWithFullSimilarity)
-{
-    Rng rng(0x51A11A57ULL);
-    const double thresholds[] = {0.0, 0.5, 0.8, 0.9, 0.99, 1.0};
-    for (int round = 0; round < 200; ++round) {
-        std::string a = randomString(rng, 24, 3);
-        std::string b = randomString(rng, 24, 3);
-        const double sim = levenshteinSimilarity(a, b);
-        for (double threshold : thresholds) {
-            auto fast = levenshteinSimilarityAtLeast(a, b, threshold);
-            if (sim >= threshold) {
-                ASSERT_TRUE(fast.has_value())
-                    << "'" << a << "' vs '" << b << "' t="
-                    << threshold;
-                // Bit-identical, not merely close.
-                ASSERT_EQ(*fast, sim);
-            } else {
-                ASSERT_FALSE(fast.has_value())
-                    << "'" << a << "' vs '" << b << "' t="
-                    << threshold;
-            }
-        }
-    }
-}
 
 /**
  * The textbook Jaro loop the bit-parallel kernel replaced: each a[i]

@@ -173,19 +173,13 @@ TEST(Levenshtein, KnownDistances)
     EXPECT_EQ(levenshteinDistance("", "abc"), 3u);
     EXPECT_EQ(levenshteinDistance("abc", "abc"), 0u);
     EXPECT_EQ(levenshteinDistance("abc", ""), 3u);
+    EXPECT_EQ(levenshteinDistance("ab", "ba"), 2u);
 }
 
 TEST(Levenshtein, Symmetric)
 {
     EXPECT_EQ(levenshteinDistance("cache", "cash"),
               levenshteinDistance("cash", "cache"));
-}
-
-TEST(Damerau, CountsTranspositions)
-{
-    EXPECT_EQ(damerauDistance("ab", "ba"), 1u);
-    EXPECT_EQ(levenshteinDistance("ab", "ba"), 2u);
-    EXPECT_EQ(damerauDistance("abcd", "acbd"), 1u);
 }
 
 TEST(LevenshteinSimilarity, Bounds)
@@ -221,21 +215,6 @@ TEST(TokenJaccard, Basics)
     EXPECT_DOUBLE_EQ(tokenJaccardSimilarity({}, {}), 1.0);
 }
 
-TEST(TokenDice, Basics)
-{
-    EXPECT_DOUBLE_EQ(tokenDiceSimilarity({"a", "b"}, {"b", "c"}),
-                     0.5);
-    EXPECT_DOUBLE_EQ(tokenDiceSimilarity({}, {}), 1.0);
-}
-
-TEST(TokenCosine, Basics)
-{
-    EXPECT_NEAR(tokenCosineSimilarity({"a", "b"}, {"a", "b"}), 1.0,
-                1e-9);
-    EXPECT_DOUBLE_EQ(tokenCosineSimilarity({"a"}, {"b"}), 0.0);
-    EXPECT_DOUBLE_EQ(tokenCosineSimilarity({}, {"a"}), 0.0);
-}
-
 TEST(TitleSimilarity, RobustToSmallEdits)
 {
     double sim = titleSimilarity(
@@ -255,8 +234,8 @@ TEST(TitleSimilarity, RobustToWordReorder)
 TEST(TitleSimilarity, LowForUnrelated)
 {
     // Jaro-Winkler assigns a ~0.55 floor to any prose pair, so
-    // "low" for unrelated titles means well below the 0.70 review
-    // threshold used by the dedup pipeline.
+    // "low" for unrelated titles means well below 0.70, the review
+    // threshold of the D3 metric ablation (dedup reviews at 0.85).
     double sim =
         titleSimilarity("X87 FDP Value May Be Saved Incorrectly",
                         "PCIe Link Retrains Unexpectedly");
